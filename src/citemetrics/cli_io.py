@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import random
+import re
 import statistics
 import sys
 import time
@@ -34,17 +35,12 @@ from .core import (
     normalize_profile,
 )
 from .geometry import (
-    CoincidentLines,
     DegenerateFit,
     EmptyProfile,
     GeometricCase,
     GeometricTrace,
     LineFit,
-    NotApplicable,
-    ParallelLines,
-    Point2,
     estimate_h_via_trendline,
-    fit_trendline,
     geometric_h_index,
     intersect_with_identity,
     trendline_applicable,
@@ -90,9 +86,15 @@ def parse_citations(data: bytes, fmt: str) -> list[int]:
     raise ValueError(f"unknown input format: {fmt!r}")
 
 
+# ASCII digits only: int() alone would also take "1_000" and non-ASCII digits.
+_COUNT_CELL = re.compile(r"-?[0-9]+")
+
+
 def _parse_count(cell: str, lineno: int, position: int) -> int:
     try:
-        value = int(cell)
+        if not _COUNT_CELL.fullmatch(cell):
+            raise ValueError(cell)
+        value = int(cell)  # raises past the interpreter's digit limit
     except ValueError:
         raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
     if value < 0:
@@ -156,6 +158,10 @@ def _parse_json(data: bytes) -> list[int]:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError("document", str(exc)) from None
+    except RecursionError:
+        raise ParseError("document", "arrays nested too deeply") from None
     if not isinstance(parsed, list):
         raise ParseError("document", "expected a flat JSON array of citation counts")
     values: list[int] = []
@@ -392,14 +398,7 @@ def emit_plot_svg(
         if lo < hi:
             parts.append(_svg_line(px(lo, fit.predict(lo)), px(hi, fit.predict(hi)), _TRENDLINE_COLOR))
 
-    marker: Point2 | None = None
-    if fit is not None:
-        try:
-            marker = intersect_with_identity(fit)
-        except (ParallelLines, CoincidentLines):
-            marker = None
-    elif trace.intersection is not None:
-        marker = trace.intersection
+    marker = intersect_with_identity(fit) if fit is not None else trace.intersection
     if marker is not None:
         mx, my = px(marker.x, marker.y)
         parts.append(f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="4" fill="{_MARKER_COLOR}"/>')
@@ -489,7 +488,9 @@ def run_benchmark(
     (seed, size); the timings themselves naturally are not.
     """
     if runs < 5:
-        raise ValueError(f"at least 5 timing runs required, got {runs}")
+        raise InvalidSize(f"at least 5 timing runs required, got {runs}")
+    if len(set(sizes)) != len(sizes):
+        raise InvalidSize(f"benchmark sizes must be distinct, got {list(sizes)}")
     method_list = list(methods)
     for method in method_list:
         if not isinstance(method, Method):
@@ -511,15 +512,15 @@ def run_benchmark(
 
 def scaling_exponents(rows: Sequence[BenchmarkRow]) -> dict[Method, float]:
     """Empirical scaling exponent per method: log-log least-squares slope."""
-    by_method: dict[Method, list[Point2]] = {}
+    by_method: dict[Method, tuple[list[float], list[float]]] = {}
     for row in rows:
-        by_method.setdefault(row.method, []).append(
-            Point2(math.log(row.n), math.log(row.median_runtime))
-        )
+        xs, ys = by_method.setdefault(row.method, ([], []))
+        xs.append(math.log(row.n))
+        ys.append(math.log(row.median_runtime))
     return {
-        method: fit_trendline(points).slope
-        for method, points in by_method.items()
-        if len(points) >= 2
+        method: statistics.linear_regression(xs, ys).slope
+        for method, (xs, ys) in by_method.items()
+        if len(xs) >= 2
     }
 
 
@@ -612,8 +613,15 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which here means the methods disagree.
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="citemetrics",
         description="Compute, draw, and benchmark the h-index of a citation profile.",
     )
@@ -662,9 +670,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         UnknownMethod,
         EmptyProfile,
         DegenerateFit,
-        NotApplicable,
         OSError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -41,12 +41,10 @@ class Method(Enum):
 class CitationProfile:
     """Validated per-paper citation counts for one author.
 
-    ``raw`` preserves the input order for provenance; ``sorted_desc`` is
-    the same multiset arranged non-increasingly, which is the form every
-    algorithm here works on; ``n`` is the number of papers.
+    ``sorted_desc`` holds the counts arranged non-increasingly, which is
+    the form every algorithm here works on; ``n`` is the number of papers.
     """
 
-    raw: tuple[int, ...]
     sorted_desc: tuple[int, ...]
     n: int
 
@@ -74,11 +72,7 @@ def normalize_profile(raw: Iterable[int]) -> CitationProfile:
     if values and min(values) < 0:
         bad = next(i for i, v in enumerate(values) if v < 0)
         raise NegativeCitation(bad, values[bad])
-    return CitationProfile(
-        raw=values,
-        sorted_desc=tuple(sorted(values, reverse=True)),
-        n=len(values),
-    )
+    return CitationProfile(sorted_desc=tuple(sorted(values, reverse=True)), n=len(values))
 
 
 def _make_result(h: int, method: Method) -> HIndexResult:
@@ -141,7 +135,7 @@ def h_index_sort_scan(profile: CitationProfile) -> HIndexResult:
 
 def h_index_counting(profile: CitationProfile) -> HIndexResult:
     """h-index by clamped counting; linear time, needs no sorted view."""
-    return _make_result(_h_counting(profile.raw), Method.COUNTING)
+    return _make_result(_h_counting(profile.sorted_desc), Method.COUNTING)
 
 
 def h_index_oracle(profile: CitationProfile) -> HIndexResult:

@@ -16,21 +16,31 @@ curves meet decides the index:
 * the polyline never meets the identity line: h = n when every point is
   above it, h = 0 when every point is below.
 
+A touching point is also the rank of minimum gap (the gap there is 0), so
+the integer-intersection clause "i.a" subsumes the minimum-distance clause
+"iii.a" for a point on the identity line.
+
 A least-squares trendline offers an approximate fourth route for profiles
 that are nearly linear; an applicability gate decides when to trust it.
+The fit is computed from exact integer sums, and its estimate is the floor
+of the exact crossing with y = x.
 
 Everything rests on one observation: citations[rank] - rank is strictly
 decreasing (citations are non-increasing, ranks increase by one), so there
 is at most one touching rank and at most one sign change. That makes every
-case above well-defined and mutually exclusive.
+case above well-defined and mutually exclusive, and lets one bisection
+over ranks decide between them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import pairwise
+from operator import mul
+from typing import Iterator, Sequence
 
 from .core import CitationProfile, HIndexResult, Method, _make_result
 
@@ -40,7 +50,7 @@ class EmptyProfile(ValueError):
 
 
 class DegenerateFit(ValueError):
-    """A line cannot be fitted (fewer than two points, or zero x spread)."""
+    """A line cannot be fitted through fewer than two papers."""
 
 
 class ParallelLines(ValueError):
@@ -49,10 +59,6 @@ class ParallelLines(ValueError):
 
 class CoincidentLines(ValueError):
     """Slope 1 with zero intercept is the identity line itself."""
-
-
-class NotApplicable(ValueError):
-    """Trendline estimation requires a slope below 1."""
 
 
 @dataclass(frozen=True)
@@ -81,22 +87,18 @@ class GeometricCase(Enum):
     ENTIRELY_BELOW = "entirely_below"
 
 
-# Cases in which the trace carries a crossing point of the two lines.
-_INTERSECTION_CASES = frozenset(
-    {GeometricCase.INTEGER_INTERSECTION, GeometricCase.FRACTIONAL_INTERSECTION}
-)
-
-
 @dataclass(frozen=True)
 class GeometricTrace:
     """Record of which geometric case fired and the evidence for it.
 
     ``postulate`` labels the clause applied: "i.a" for an integer
     intersection, "ii.a" for a fractional crossing of an exactly straight
-    citation line, "iii.a"/"iii.b" for the minimum-distance rule ("iii.c"
-    marks the extension where the nearest point lies above the identity
-    line, a situation the rule set leaves open), and "n/a" when the
-    curves never meet (entirely above or below).
+    citation line, "iii.b" for the minimum-distance rule with the nearest
+    point below the identity line ("iii.c" marks the extension where it
+    lies above, a situation the rule set leaves open), and "n/a" when the
+    curves never meet (entirely above or below). "iii.a", the nearest
+    point on the identity line, never appears: that point is an integer
+    intersection, so "i.a" subsumes it.
 
     ``intersection`` is present exactly for the two intersection cases;
     ``distances`` and ``argmin_index`` exactly for the minimum-distance
@@ -110,55 +112,8 @@ class GeometricTrace:
     argmin_index: int | None = None
 
 
-def euclidean_distance(p: Point2, q: Point2) -> float:
-    """Plane distance between two points; symmetric and non-negative."""
-    return math.hypot(q.x - p.x, q.y - p.y)
-
-
-def citation_points(profile: CitationProfile) -> list[Point2]:
-    """Vertices of the citation polyline: (rank, citations at rank)."""
-    return [Point2(float(i), float(c)) for i, c in enumerate(profile.sorted_desc, start=1)]
-
-
-def fit_trendline(points: Sequence[Point2]) -> LineFit:
-    """Ordinary least-squares line minimizing squared vertical residuals.
-
-    r_squared is 1 - SSres/SStot, defined as 1 for a zero-variance y
-    (a horizontal fit through identical values is exact). Raises
-    DegenerateFit for fewer than two points or identical x coordinates.
-    """
-    if len(points) < 2:
-        raise DegenerateFit(f"need at least 2 points, got {len(points)}")
-    n = len(points)
-    mean_x = math.fsum(p.x for p in points) / n
-    mean_y = math.fsum(p.y for p in points) / n
-    sxx = math.fsum((p.x - mean_x) ** 2 for p in points)
-    if sxx == 0.0:
-        raise DegenerateFit("all points share one x coordinate")
-    sxy = math.fsum((p.x - mean_x) * (p.y - mean_y) for p in points)
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_tot = math.fsum((p.y - mean_y) ** 2 for p in points)
-    if ss_tot == 0.0:
-        r_squared = 1.0
-    else:
-        ss_res = math.fsum((p.y - (slope * p.x + intercept)) ** 2 for p in points)
-        r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return LineFit(slope=slope, intercept=intercept, r_squared=r_squared)
-
-
-def intersect_with_identity(fit: LineFit) -> Point2:
-    """Where y = slope * x + intercept meets y = x.
-
-    Raises CoincidentLines when the fit is the identity line itself and
-    ParallelLines when it runs parallel to it.
-    """
-    if fit.slope == 1.0:
-        if fit.intercept == 0.0:
-            raise CoincidentLines("fit coincides with the identity line")
-        raise ParallelLines("fit is parallel to the identity line")
-    x = fit.intercept / (1.0 - fit.slope)
-    return Point2(x, x)
+def _gaps(sorted_desc: Sequence[int]) -> Iterator[float]:
+    return (float(abs(c - rank)) for rank, c in enumerate(sorted_desc, start=1))
 
 
 def vertical_distances(profile: CitationProfile) -> list[float]:
@@ -169,52 +124,47 @@ def vertical_distances(profile: CitationProfile) -> list[float]:
     """
     if profile.n == 0:
         raise EmptyProfile("no distances for an empty profile")
-    return [float(abs(c - i)) for i, c in enumerate(profile.sorted_desc, start=1)]
+    return list(_gaps(profile.sorted_desc))
 
 
 def _is_collinear(sorted_desc: Sequence[int]) -> bool:
     # Integer counts, so exact: one common step between consecutive ranks.
     step = sorted_desc[1] - sorted_desc[0]
-    return all(sorted_desc[i + 1] - sorted_desc[i] == step for i in range(len(sorted_desc) - 1))
+    return all(b - a == step for a, b in pairwise(sorted_desc))
 
 
 def classify_profile(profile: CitationProfile) -> GeometricTrace:
     """Classify how the citation polyline relates to the identity line.
 
-    The case split (see module docstring) is driven by the strictly
-    decreasing gap citations[rank] - rank:
+    The gap g(rank) = citations[rank] - rank falls strictly, so the ranks
+    with g >= 0 are exactly 1..k, and one bisection finds k:
 
-    * a rank with zero gap -> INTEGER_INTERSECTION at that point ("i.a");
-    * all gaps positive -> ENTIRELY_ABOVE; all negative -> ENTIRELY_BELOW;
-    * otherwise one sign change: an exactly straight polyline crosses the
-      identity at a strictly fractional point -> FRACTIONAL_INTERSECTION
-      with the interpolated crossing ("ii.a"); a curvilinear polyline is
-      not treated as a line, so the trace reports the vertical-distance
-      table and its argmin instead -> NO_CROSSING_MIN_DISTANCE ("iii.*").
-
-    Ties at the minimum distance resolve to the smallest rank whose
-    citation count is at or above the rank when one exists, else the
-    smallest rank overall.
+    * g(k) = 0 -> INTEGER_INTERSECTION at (k, k) ("i.a");
+    * k = n -> ENTIRELY_ABOVE; k = 0 -> ENTIRELY_BELOW;
+    * otherwise the polyline straddles the identity between k and k+1: an
+      exactly straight polyline crosses it at a strictly fractional point
+      -> FRACTIONAL_INTERSECTION with the interpolated crossing ("ii.a");
+      a curvilinear polyline is not treated as a line, so the trace
+      reports the vertical-distance table and its argmin instead ->
+      NO_CROSSING_MIN_DISTANCE. |g| falls up to k and rises after it, so
+      the argmin is k ("iii.c") when |g(k)| <= |g(k+1)|, else k+1 ("iii.b");
+      a tie goes to k, the rank above the identity line.
     """
     if profile.n == 0:
         raise EmptyProfile("cannot classify an empty profile")
     sd = profile.sorted_desc
     n = profile.n
+    k = bisect_right(range(n), 0, key=lambda i: i + 1 - sd[i])
 
-    for rank, cited in enumerate(sd, start=1):
-        if cited == rank:
-            point = Point2(float(rank), float(rank))
-            return GeometricTrace(
-                case=GeometricCase.INTEGER_INTERSECTION, postulate="i.a", intersection=point
-            )
-
-    if sd[n - 1] > n:  # the smallest gap is at the last rank
+    if k and sd[k - 1] == k:
+        point = Point2(float(k), float(k))
+        return GeometricTrace(
+            case=GeometricCase.INTEGER_INTERSECTION, postulate="i.a", intersection=point
+        )
+    if k == n:
         return GeometricTrace(case=GeometricCase.ENTIRELY_ABOVE, postulate="n/a")
-    if sd[0] < 1:  # the largest gap is at the first rank
+    if k == 0:
         return GeometricTrace(case=GeometricCase.ENTIRELY_BELOW, postulate="n/a")
-
-    # Exactly one straddle: sd[k] > k while sd[k+1] < k+1 (1-based ranks).
-    k = next(i for i in range(1, n) if sd[i - 1] > i and sd[i] < i + 1)
 
     if _is_collinear(sd):
         step = sd[k] - sd[k - 1]  # <= -1 on a straddling segment
@@ -226,21 +176,14 @@ def classify_profile(profile: CitationProfile) -> GeometricTrace:
             intersection=Point2(x_star, x_star),
         )
 
-    distances = tuple(vertical_distances(profile))
-    minimum = min(distances)
-    at_minimum = [i for i in range(1, n + 1) if distances[i - 1] == minimum]
-    preferred = [i for i in at_minimum if sd[i - 1] >= i]
-    argmin = preferred[0] if preferred else at_minimum[0]
-    if sd[argmin - 1] < argmin:
-        label = "iii.b"
-    elif sd[argmin - 1] == argmin:
-        label = "iii.a"  # unreachable after the equality scan; kept for totality
+    if sd[k - 1] - k <= k + 1 - sd[k]:
+        argmin, label = k, "iii.c"
     else:
-        label = "iii.c"
+        argmin, label = k + 1, "iii.b"
     return GeometricTrace(
         case=GeometricCase.NO_CROSSING_MIN_DISTANCE,
         postulate=label,
-        distances=distances,
+        distances=tuple(_gaps(sd)),
         argmin_index=argmin,
     )
 
@@ -273,21 +216,71 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
     return _make_result(h, Method.GEOMETRIC), trace
 
 
+def _exact_fit(profile: CitationProfile) -> tuple[LineFit, int]:
+    """The least-squares line through (rank, citations) and the floor of
+    its crossing with y = x, both from exact integer sums.
+
+    Ranks are 1..n, so their sums have closed forms. Every float below is
+    one int/int quotient, which Python rounds correctly.
+    """
+    n = profile.n
+    if n < 2:
+        raise DegenerateFit(f"need at least 2 papers, got {n}")
+    sd = profile.sorted_desc
+    sx = n * (n + 1) // 2
+    sxx = n * (n + 1) * (2 * n + 1) // 6
+    sy = sum(sd)
+    sxy = sum(map(mul, range(1, n + 1), sd))
+    syy = sum(map(mul, sd, sd))
+    # n times the centred sums of squares and products; n cancels below.
+    cxx = n * sxx - sx * sx
+    cxy = n * sxy - sx * sy
+    cyy = n * syy - sy * sy
+    top = sy * sxx - sx * sxy  # intercept * cxx
+    fit = LineFit(
+        slope=cxy / cxx,
+        intercept=top / cxx,
+        r_squared=cxy * cxy / (cxx * cyy) if cyy else 1.0,
+    )
+    # Non-increasing counts give cxy <= 0, so the divisor is positive.
+    return fit, top // (cxx - cxy)
+
+
+def fit_trendline(profile: CitationProfile) -> LineFit:
+    """Least-squares line through (rank, citations at rank).
+
+    r_squared is Sxy^2 / (Sxx * Syy), defined as 1 for a zero-variance y
+    (a horizontal fit through identical values is exact). The slope is
+    never positive, since the counts do not increase. Raises DegenerateFit
+    for fewer than two papers.
+    """
+    return _exact_fit(profile)[0]
+
+
+def intersect_with_identity(fit: LineFit) -> Point2:
+    """Where y = slope * x + intercept meets y = x.
+
+    Raises CoincidentLines when the fit is the identity line itself and
+    ParallelLines when it runs parallel to it.
+    """
+    if fit.slope == 1.0:
+        if fit.intercept == 0.0:
+            raise CoincidentLines("fit coincides with the identity line")
+        raise ParallelLines("fit is parallel to the identity line")
+    x = fit.intercept / (1.0 - fit.slope)
+    return Point2(x, x)
+
+
 def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
     """Approximate h as the floor of the trendline's identity crossing.
 
-    Fits the least-squares line to (rank, citations), intersects it with
-    y = x and floors the abscissa, clamped into [0, n]. Only trustworthy
+    Fits the least-squares line to (rank, citations) and floors the exact
+    abscissa where it meets y = x, clamped into [0, n]. Only trustworthy
     for near-linear profiles; combine with trendline_applicable. Raises
-    DegenerateFit for profiles of fewer than two papers and NotApplicable
-    for a slope of 1 or more (cannot happen for non-increasing counts).
+    DegenerateFit for profiles of fewer than two papers.
     """
-    fit = fit_trendline(citation_points(profile))
-    if fit.slope >= 1.0:
-        raise NotApplicable(f"slope {fit.slope} does not fall toward the identity line")
-    crossing = intersect_with_identity(fit)
-    estimate = min(max(math.floor(crossing.x), 0), profile.n)
-    return estimate, fit
+    fit, crossing_floor = _exact_fit(profile)
+    return min(max(crossing_floor, 0), profile.n), fit
 
 
 # Minimum variance explained for the straight-line story to be credible.

@@ -85,6 +85,11 @@ def test_parse_csv_rejects_non_integer():
     with pytest.raises(ParseError) as exc:
         parse_citations(b"10\nbanana\n", "csv")
     assert "line 2" in str(exc.value)
+    # int() alone would read these as 1000 and 3
+    for cell in ("1_000", "\u0663"):
+        with pytest.raises(ParseError) as exc:
+            parse_citations(f"10\n{cell}\n".encode(), "csv")
+        assert "line 2" in str(exc.value)
 
 
 def test_parse_csv_rejects_comma_without_header():
@@ -450,6 +455,46 @@ def test_cli_bench_unknown_method():
 def test_cli_bench_bad_sizes():
     proc = run_cli("bench", "--sizes", "abc", "--methods", "count")
     assert proc.returncode == 1
+
+
+def _assert_input_error(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_cli_usage_error_exits_1(a1_csv):
+    # exit 2 is reserved for disagreeing methods
+    _assert_input_error(run_cli("compute", "--input", str(a1_csv), "--bogus"))
+    assert run_cli("compute", "--help").returncode == 0
+
+
+def test_cli_oversized_integer_exits_1(tmp_path):
+    # int() refuses more digits than the interpreter's limit with a bare ValueError
+    digits = "1" * 5000
+    for name, body in (("big.json", f"[{digits}]"), ("big.csv", digits)):
+        path = tmp_path / name
+        path.write_text(body)
+        proc = run_cli("compute", "--input", str(path), "--format", name.split(".")[1])
+        _assert_input_error(proc)
+
+
+def test_cli_deeply_nested_json_exits_1(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("compute", "--input", str(path), "--format", "json")
+    _assert_input_error(proc)
+    assert "document" in proc.stderr
+
+
+def test_cli_bench_too_few_runs_exits_1():
+    _assert_input_error(run_cli("bench", "--sizes", "100,200", "--methods", "count", "--runs", "2"))
+
+
+def test_cli_bench_repeated_sizes_exits_1():
+    proc = run_cli("bench", "--sizes", "100,100", "--methods", "count")
+    _assert_input_error(proc)
+    assert "distinct" in proc.stderr
 
 
 def test_report_to_dict_key_order_stable():

@@ -25,7 +25,6 @@ citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=20
 
 def test_normalize_keeps_raw_and_sorts_descending():
     p = normalize_profile(A1)
-    assert p.raw == tuple(A1)
     assert p.sorted_desc == (10, 9, 8, 8, 7, 5, 4, 3, 2, 1, 1)
     assert p.n == 11
 
@@ -37,7 +36,7 @@ def test_normalize_ascending_input_gives_same_sorted_view():
 
 def test_normalize_empty():
     p = normalize_profile([])
-    assert p.raw == () and p.sorted_desc == () and p.n == 0
+    assert p.sorted_desc == () and p.n == 0
 
 
 def test_normalize_rejects_negative_with_position():
@@ -50,9 +49,9 @@ def test_normalize_rejects_negative_with_position():
 @given(citation_lists)
 def test_normalize_invariants(values):
     p = normalize_profile(values)
-    assert sorted(p.raw) == sorted(p.sorted_desc)
+    assert sorted(values) == sorted(p.sorted_desc)
     assert all(p.sorted_desc[i] >= p.sorted_desc[i + 1] for i in range(p.n - 1))
-    assert p.n == len(p.raw) == len(p.sorted_desc)
+    assert p.n == len(values) == len(p.sorted_desc)
 
 
 # ---------------------------------------------------------------------------

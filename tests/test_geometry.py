@@ -1,6 +1,9 @@
 """Geometric h-index machinery: distances, fits, classification, engine."""
 
 import math
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,8 @@ from citemetrics import (
     GeometricCase,
     LineFit,
     ParallelLines,
-    Point2,
-    citation_points,
     classify_profile,
     estimate_h_via_trendline,
-    euclidean_distance,
     fit_trendline,
     geometric_h_index,
     h_index_oracle,
@@ -42,42 +42,23 @@ A4_R2 = 418609 / 433015  # ~0.96673, above the gate; the drop clause rejects a4
 
 
 # ---------------------------------------------------------------------------
-# euclidean_distance
-
-
-def test_distance_examples():
-    assert euclidean_distance(Point2(4, 4), Point2(4, 3)) == 1.0
-    assert euclidean_distance(Point2(0, 0), Point2(3, 4)) == 5.0
-    assert euclidean_distance(Point2(7, 2), Point2(7, 2)) == 0.0
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-       st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_distance_symmetric_and_nonnegative(px, py, qx, qy):
-    p, q = Point2(px, py), Point2(qx, qy)
-    assert euclidean_distance(p, q) == euclidean_distance(q, p) >= 0.0
-
-
-# ---------------------------------------------------------------------------
 # fit_trendline
 
 
 def test_fit_frozen_a1_line():
-    fit = fit_trendline(citation_points(profile(A1)))
+    fit = fit_trendline(profile(A1))
     assert fit.slope == pytest.approx(A1_SLOPE, abs=1e-12)
     assert fit.intercept == pytest.approx(A1_INTERCEPT, abs=1e-12)
     assert fit.r_squared == pytest.approx(A1_R2, abs=1e-12)
 
 
-def test_fit_exact_identity_line():
-    fit = fit_trendline([Point2(x, x) for x in range(1, 6)])
-    assert fit.slope == pytest.approx(1.0)
-    assert fit.intercept == pytest.approx(0.0, abs=1e-12)
-    assert fit.r_squared == 1.0
+def test_fit_exact_straight_profile():
+    fit = fit_trendline(profile([9, 7, 5, 3, 1]))
+    assert (fit.slope, fit.intercept, fit.r_squared) == (-2.0, 11.0, 1.0)
 
 
 def test_fit_horizontal_line():
-    fit = fit_trendline([Point2(1, 2), Point2(2, 2), Point2(3, 2)])
+    fit = fit_trendline(profile([2, 2, 2]))
     assert fit.slope == 0.0
     assert fit.intercept == 2.0
     assert fit.r_squared == 1.0  # zero variance defined as a perfect fit
@@ -85,19 +66,19 @@ def test_fit_horizontal_line():
 
 def test_fit_degenerate_inputs():
     with pytest.raises(DegenerateFit):
-        fit_trendline([Point2(1, 1)])
+        fit_trendline(profile([1]))
     with pytest.raises(DegenerateFit):
-        fit_trendline([Point2(2, 1), Point2(2, 5), Point2(2, 9)])
+        fit_trendline(profile([]))
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(min_value=0, max_value=10**4), min_size=2, max_size=50))
 def test_fit_minimizes_squared_residuals(values):
-    points = citation_points(normalize_profile(values))
-    fit = fit_trendline(points)
+    p = normalize_profile(values)
+    fit = fit_trendline(p)
 
     def ssr(slope, intercept):
-        return math.fsum((p.y - (slope * p.x + intercept)) ** 2 for p in points)
+        return math.fsum((y - (slope * x + intercept)) ** 2 for x, y in enumerate(p.sorted_desc, start=1))
 
     best = ssr(fit.slope, fit.intercept)
     for ds, dc in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
@@ -152,7 +133,7 @@ def test_vertical_distance_matches_euclidean(values):
     distances = vertical_distances(p)
     for i, d in enumerate(distances):
         journal = i + 1
-        assert d == euclidean_distance(Point2(journal, journal), Point2(journal, p.sorted_desc[i]))
+        assert d == abs(p.sorted_desc[i] - journal)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +310,15 @@ def test_estimate_clamps_into_paper_count():
     assert estimate == 2 == h_index_oracle(profile([5, 5])).h
 
 
+def test_estimate_floors_the_exact_crossing():
+    # the fitted line meets y = x at exactly 6; the rounded float fit puts
+    # the crossing at 5.999999999999999, whose floor would be 5
+    p = profile([12, 11, 11, 11, 8, 6, 3])
+    estimate, fit = estimate_h_via_trendline(p)
+    assert intersect_with_identity(fit).x < 6
+    assert estimate == 6
+
+
 def test_estimate_degenerate():
     with pytest.raises(DegenerateFit):
         estimate_h_via_trendline(profile([7]))
@@ -378,3 +368,102 @@ def test_estimate_always_within_bounds(values):
     p = normalize_profile(values)
     estimate, _ = estimate_h_via_trendline(p)
     assert 0 <= estimate <= p.n
+
+
+# ---------------------------------------------------------------------------
+# the bisection classifier and the exact fit against naive references
+
+
+def _reference_trace(sd):
+    """(case, postulate, intersection x, distances, argmin) by full scans."""
+    n = len(sd)
+    gaps = [c - rank for rank, c in enumerate(sd, start=1)]
+    if 0 in gaps:
+        touch = gaps.index(0) + 1
+        return GeometricCase.INTEGER_INTERSECTION, "i.a", float(touch), None, None
+    if all(g > 0 for g in gaps):
+        return GeometricCase.ENTIRELY_ABOVE, "n/a", None, None, None
+    if all(g < 0 for g in gaps):
+        return GeometricCase.ENTIRELY_BELOW, "n/a", None, None, None
+    if len({b - a for a, b in zip(sd, sd[1:])}) == 1:
+        k = max(rank for rank in range(1, n + 1) if gaps[rank - 1] > 0)
+        step = sd[k] - sd[k - 1]
+        x_star = k + (sd[k - 1] - k) / (1 - step)  # interpolated between ranks k and k+1
+        return GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", x_star, None, None
+    distances = tuple(float(abs(g)) for g in gaps)
+    at_minimum = [rank for rank in range(1, n + 1) if distances[rank - 1] == min(distances)]
+    # a tie goes to the rank whose point is above the identity line
+    above = [rank for rank in at_minimum if gaps[rank - 1] > 0]
+    argmin = (above or at_minimum)[0]
+    label = "iii.c" if gaps[argmin - 1] > 0 else "iii.b"
+    return GeometricCase.NO_CROSSING_MIN_DISTANCE, label, None, distances, argmin
+
+
+def _reference_fit(sd):
+    """(slope, intercept, r^2, estimate): textbook least squares in Fractions."""
+    n = len(sd)
+    xs = range(1, n + 1)
+    mean_x, mean_y = Fraction(sum(xs), n), Fraction(sum(sd), n)
+    sxx = sum(x * x for x in xs) - n * mean_x * mean_x
+    sxy = sum(x * y for x, y in zip(xs, sd)) - n * mean_x * mean_y
+    syy = sum(y * y for y in sd) - n * mean_y * mean_y
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    r_squared = sxy * sxy / (sxx * syy) if syy else Fraction(1)
+    estimate = min(max(math.floor(intercept / (1 - slope)), 0), n)
+    return float(slope), float(intercept), float(r_squared), estimate
+
+
+def _check_against_references(values):
+    p = normalize_profile(values)
+    trace = classify_profile(p)
+    x = trace.intersection.x if trace.intersection is not None else None
+    got = (trace.case, trace.postulate, x, trace.distances, trace.argmin_index)
+    assert got == _reference_trace(p.sorted_desc)
+    if trace.intersection is not None:
+        assert trace.intersection.y == x
+    if p.n >= 2:
+        estimate, fit = estimate_h_via_trendline(p)
+        assert (fit.slope, fit.intercept, fit.r_squared, estimate) == _reference_fit(p.sorted_desc)
+    return trace
+
+
+def _mixed_profiles(seed, count, max_n=200):
+    """Profiles that reach every geometric case: counts up to a few times n,
+    and one in five an exact arithmetic progression."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        if rng.random() < 0.2:
+            last, step = rng.randint(0, n), rng.randint(0, 3)
+            yield [last + step * i for i in range(n)]
+        else:
+            top = rng.choice((1, n, 2 * n, 4 * n))
+            yield [rng.randint(0, top) for _ in range(n)]
+
+
+def test_fast_paths_match_references_seeded_sweep():
+    seen = Counter()
+    for values in _mixed_profiles(seed=5309, count=10_000):
+        seen[_check_against_references(values).postulate] += 1
+    assert set(seen) == {"i.a", "ii.a", "iii.b", "iii.c", "n/a"}
+
+
+def test_min_distance_tie_goes_to_the_rank_above():
+    # gaps 4, 1, -1, -4: |g| ties at ranks 2 and 3; rank 2 lies above
+    trace = _check_against_references([5, 3, 2, 0])
+    assert (trace.argmin_index, trace.postulate) == (2, "iii.c")
+
+
+arithmetic_progressions = st.builds(
+    lambda last, step, n: [last + step * i for i in range(n)],
+    st.integers(0, 200),
+    st.integers(0, 5),
+    st.integers(1, 100),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=120) | arithmetic_progressions)
+def test_fast_paths_match_references(values):
+    _check_against_references(values)
