@@ -17,12 +17,15 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import (
     CitationProfile,
+    CitationTooLarge,
     HIndexResult,
     Method,
     NegativeCitation,
@@ -88,6 +91,9 @@ def parse_citations(data: bytes, fmt: str) -> list[int]:
 
 # ASCII digits only: int() alone would also take "1_000" and non-ASCII digits.
 _COUNT_CELL = re.compile(r"-?[0-9]+")
+# The canonical single-column body: counts in ASCII digits, "\n" between them.
+# It has no comma, so it cannot be the paper_id,citations header.
+_PLAIN_BODY = re.compile(r"[0-9\n]*")
 
 
 def _parse_count(cell: str, lineno: int, position: int) -> int:
@@ -107,6 +113,12 @@ def _parse_csv(data: bytes) -> list[int]:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
+    # Checked before splitlines(), so that no second list of lines is live.
+    if _PLAIN_BODY.fullmatch(text):
+        try:
+            return list(map(int, text.split()))
+        except ValueError:
+            pass  # a count past the digit limit: the loop below reports its line
     lines = text.splitlines()
     if not lines:
         return []
@@ -198,15 +210,36 @@ class MetricsReport:
     ``agreement`` must be true on every real input; a false value is a
     defect in this package and is surfaced loudly (CLI exit code 2),
     never silently. ``trendline``/``trendline_estimate`` are present only
-    when the applicability gate passes; ``trace`` is absent for n = 0.
+    when the applicability gate passes, and are computed on first access:
+    the JSON report never reads them. ``trace`` is absent for n = 0.
     """
 
     summary: ProfileSummary
     results: tuple[HIndexResult, ...]
     trace: GeometricTrace | None
-    trendline: LineFit | None
-    trendline_estimate: int | None
     agreement: bool
+    profile: CitationProfile = field(repr=False)  # the trendline is fitted from it on demand
+
+    @cached_property
+    def _fit_and_estimate(self) -> tuple[LineFit | None, int | None]:
+        return _gated_trendline(self.profile)
+
+    @property
+    def trendline(self) -> LineFit | None:
+        return self._fit_and_estimate[0]
+
+    @property
+    def trendline_estimate(self) -> int | None:
+        return self._fit_and_estimate[1]
+
+
+def _gated_trendline(profile: CitationProfile) -> tuple[LineFit | None, int | None]:
+    """(fit, estimate) when the applicability gate passes, else (None, None)."""
+    if profile.n >= 2:
+        estimate, fit = estimate_h_via_trendline(profile)
+        if trendline_applicable(profile, fit):
+            return fit, estimate
+    return None, None
 
 
 def build_report(profile: CitationProfile) -> MetricsReport:
@@ -218,24 +251,19 @@ def build_report(profile: CitationProfile) -> MetricsReport:
         h_index_oracle(profile),
         geometric,
     )
-    fit = estimate = None
-    if profile.n >= 2:
-        candidate_estimate, candidate_fit = estimate_h_via_trendline(profile)
-        if trendline_applicable(profile, candidate_fit):
-            fit, estimate = candidate_fit, candidate_estimate
+    sd = profile.sorted_desc
     summary = ProfileSummary(
         n=profile.n,
-        min_citations=min(profile.sorted_desc) if profile.n else None,
-        max_citations=max(profile.sorted_desc) if profile.n else None,
-        total_citations=sum(profile.sorted_desc),
+        min_citations=sd[-1] if sd else None,
+        max_citations=sd[0] if sd else None,
+        total_citations=sum(sd),
     )
     return MetricsReport(
         summary=summary,
         results=results,
         trace=trace,
-        trendline=fit,
-        trendline_estimate=estimate,
         agreement=len({r.h for r in results}) == 1,
+        profile=profile,
     )
 
 
@@ -267,6 +295,12 @@ def report_to_dict(report: MetricsReport) -> dict:
 def _fmt6(x: float) -> str:
     # first six decimals, not rounded
     return f"{math.floor(x * 10**6) / 10**6:.6f}"
+
+
+def _fmt6_exact(x: Fraction) -> str:
+    # first six decimals of a non-negative rational, floored in integers
+    whole, micro = divmod(math.floor(x * 10**6), 10**6)
+    return f"{whole}.{micro:06d}"
 
 
 def _fmt_num(x: float) -> str:
@@ -301,15 +335,25 @@ def _report_text(report: MetricsReport) -> str:
             f"trendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})"
         )
         lines.append(f"trendline estimate: {report.trendline_estimate}")
-        crossing = intersect_with_identity(fit)
-        lines.append(f"trendline intersection: ({_fmt6(crossing.x)}, {_fmt6(crossing.y)})")
+        # Never negative: the intercept is at least the mean count, the slope at most 0.
+        crossing = _fmt6_exact(fit.crossing)
+        lines.append(f"trendline intersection: ({crossing}, {crossing})")
     return "\n".join(lines) + "\n"
 
 
 def emit_report(report: MetricsReport, fmt: str) -> bytes:
     """Serialize a report as "json" or "text"; deterministic output."""
     if fmt == "json":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+        payload = report_to_dict(report)
+        table = payload["distances"]
+        if table is None:
+            return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        # indent=2 runs json's pure-Python encoder on every element, so the
+        # table is laid out here as json would: one float repr per line.
+        payload["distances"] = None
+        rows = "[\n    " + ",\n    ".join(map(float.__repr__, table)) + "\n  ]"
+        text = json.dumps(payload, indent=2).replace('"distances": null', '"distances": ' + rows, 1)
+        return (text + "\n").encode("utf-8")
     if fmt == "text":
         return _report_text(report).encode("utf-8")
     raise ValueError(f"unknown report format: {fmt!r}")
@@ -581,17 +625,22 @@ def _cmd_plot(args) -> int:
     fit = None
     if args.trendline == "on":
         _, fit = estimate_h_via_trendline(profile)
-    elif args.trendline == "auto" and profile.n >= 2:
-        _, candidate = estimate_h_via_trendline(profile)
-        if trendline_applicable(profile, candidate):
-            fit = candidate
+    elif args.trendline == "auto":
+        fit, _ = _gated_trendline(profile)
     Path(args.output).write_bytes(emit_plot_svg(profile, trace, fit))
     return EXIT_OK
+
+
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     items = [token.strip() for token in text.split(",") if token.strip()]
     try:
+        for token in items:
+            # ASCII digits only, as in CSV cells: int() would take "1_00" and "٢00".
+            if not _DIGITS.fullmatch(token):
+                raise ValueError(f"not a whole number: {token!r}")
         return [int(token) for token in items]
     except ValueError as exc:
         raise InvalidSize(f"bad {what} list {text!r}: {exc}") from None
@@ -666,6 +715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         ParseError,
         NegativeCitation,
+        CitationTooLarge,
         InvalidSize,
         UnknownMethod,
         EmptyProfile,

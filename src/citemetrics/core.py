@@ -28,6 +28,21 @@ class NegativeCitation(ValueError):
         super().__init__(f"citation count at position {index} is negative: {value}")
 
 
+# Largest accepted count: every integer up to 2**53 is an exact float, so
+# every vertical distance and every fitted quantity stays finite and exact.
+MAX_CITATION = 2**53
+
+
+class CitationTooLarge(ValueError):
+    """A citation count above MAX_CITATION is invalid input."""
+
+    def __init__(self, index: int, value: int):
+        self.index = index
+        self.value = value
+        # The value itself may run to thousands of digits; name the bound instead.
+        super().__init__(f"citation count at position {index} exceeds the maximum 2**53")
+
+
 class Method(Enum):
     """Which algorithm produced an h-index result."""
 
@@ -66,13 +81,18 @@ def normalize_profile(raw: Iterable[int]) -> CitationProfile:
     """Validate citation counts and build a profile.
 
     Accepts counts in any order; an empty input is a valid profile with
-    n = 0. Raises NegativeCitation on the first count below zero.
+    n = 0. Raises NegativeCitation on the first count below zero, else
+    CitationTooLarge on the first count above MAX_CITATION.
     """
     values = tuple(raw)
-    if values and min(values) < 0:
+    sorted_desc = tuple(sorted(values, reverse=True))
+    if sorted_desc and sorted_desc[-1] < 0:
         bad = next(i for i, v in enumerate(values) if v < 0)
         raise NegativeCitation(bad, values[bad])
-    return CitationProfile(sorted_desc=tuple(sorted(values, reverse=True)), n=len(values))
+    if sorted_desc and sorted_desc[0] > MAX_CITATION:
+        bad = next(i for i, v in enumerate(values) if v > MAX_CITATION)
+        raise CitationTooLarge(bad, values[bad])
+    return CitationProfile(sorted_desc=sorted_desc, n=len(values))
 
 
 def _make_result(h: int, method: Method) -> HIndexResult:

@@ -38,8 +38,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
-from operator import mul
+from fractions import Fraction
+from itertools import islice, pairwise
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .core import CitationProfile, HIndexResult, Method, _make_result
@@ -69,11 +70,16 @@ class Point2:
 
 @dataclass(frozen=True)
 class LineFit:
-    """Least-squares line y = slope * x + intercept with its fit quality."""
+    """Least-squares line y = slope * x + intercept with its fit quality.
+
+    ``crossing`` is the exact abscissa where the line meets y = x, present
+    when the line was fitted from a profile.
+    """
 
     slope: float
     intercept: float
     r_squared: float
+    crossing: Fraction | None = None
 
     def predict(self, x: float) -> float:
         return self.slope * x + self.intercept
@@ -113,7 +119,7 @@ class GeometricTrace:
 
 
 def _gaps(sorted_desc: Sequence[int]) -> Iterator[float]:
-    return (float(abs(c - rank)) for rank, c in enumerate(sorted_desc, start=1))
+    return map(float, map(abs, map(sub, sorted_desc, range(1, len(sorted_desc) + 1))))
 
 
 def vertical_distances(profile: CitationProfile) -> list[float]:
@@ -216,12 +222,16 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
     return _make_result(h, Method.GEOMETRIC), trace
 
 
-def _exact_fit(profile: CitationProfile) -> tuple[LineFit, int]:
-    """The least-squares line through (rank, citations) and the floor of
-    its crossing with y = x, both from exact integer sums.
+def fit_trendline(profile: CitationProfile) -> LineFit:
+    """Least-squares line through (rank, citations at rank), from exact
+    integer sums, with its exact crossing of y = x.
 
     Ranks are 1..n, so their sums have closed forms. Every float below is
-    one int/int quotient, which Python rounds correctly.
+    one int/int quotient, which Python rounds correctly. r_squared is
+    Sxy^2 / (Sxx * Syy), defined as 1 for a zero-variance y (a horizontal
+    fit through identical values is exact). The slope is never positive,
+    since the counts do not increase. Raises DegenerateFit for fewer than
+    two papers.
     """
     n = profile.n
     if n < 2:
@@ -237,24 +247,13 @@ def _exact_fit(profile: CitationProfile) -> tuple[LineFit, int]:
     cxy = n * sxy - sx * sy
     cyy = n * syy - sy * sy
     top = sy * sxx - sx * sxy  # intercept * cxx
-    fit = LineFit(
+    return LineFit(
         slope=cxy / cxx,
         intercept=top / cxx,
         r_squared=cxy * cxy / (cxx * cyy) if cyy else 1.0,
+        # Non-increasing counts give cxy <= 0, so the divisor is positive.
+        crossing=Fraction(top, cxx - cxy),
     )
-    # Non-increasing counts give cxy <= 0, so the divisor is positive.
-    return fit, top // (cxx - cxy)
-
-
-def fit_trendline(profile: CitationProfile) -> LineFit:
-    """Least-squares line through (rank, citations at rank).
-
-    r_squared is Sxy^2 / (Sxx * Syy), defined as 1 for a zero-variance y
-    (a horizontal fit through identical values is exact). The slope is
-    never positive, since the counts do not increase. Raises DegenerateFit
-    for fewer than two papers.
-    """
-    return _exact_fit(profile)[0]
 
 
 def intersect_with_identity(fit: LineFit) -> Point2:
@@ -279,8 +278,8 @@ def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
     for near-linear profiles; combine with trendline_applicable. Raises
     DegenerateFit for profiles of fewer than two papers.
     """
-    fit, crossing_floor = _exact_fit(profile)
-    return min(max(crossing_floor, 0), profile.n), fit
+    fit = fit_trendline(profile)
+    return min(max(math.floor(fit.crossing), 0), profile.n), fit
 
 
 # Minimum variance explained for the straight-line story to be credible.
@@ -300,5 +299,5 @@ def trendline_applicable(profile: CitationProfile, fit: LineFit) -> bool:
     if profile.n < 2:
         return False
     sd = profile.sorted_desc
-    max_drop = max(sd[i] - sd[i + 1] for i in range(profile.n - 1))
+    max_drop = max(map(sub, sd, islice(sd, 1, None)))
     return fit.r_squared >= R_SQUARED_GATE and max_drop <= profile.n

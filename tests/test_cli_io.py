@@ -1,6 +1,8 @@
 """Parsing, report emission, SVG plots, benchmarks, and the CLI."""
 
 import json
+import math
+import random
 import re
 import subprocess
 import sys
@@ -34,8 +36,10 @@ from citemetrics import (
     run_benchmark,
     scaling_exponents,
 )
+from citemetrics import cli_io
 from citemetrics.cli_io import _MARGIN_LEFT, _MARGIN_RIGHT, SVG_WIDTH, format_benchmark_report, plot_scales
 from conftest import A1, A1_CSV, A2, A3, A4, A5, profile
+from test_geometry import _reference_fit
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
 
@@ -129,6 +133,108 @@ def test_json_round_trip(values):
     assert parse_citations(emit_citations_json(values), "json") == values
 
 
+# A copy of the per-line CSV parser as it stood before the single-pass fast
+# path: the fast path must never change what a CSV parses to, or how it fails.
+_REFERENCE_CELL = re.compile(r"-?[0-9]+")
+
+
+def _reference_count(cell, lineno, position):
+    try:
+        if not _REFERENCE_CELL.fullmatch(cell):
+            raise ValueError(cell)
+        value = int(cell)
+    except ValueError:
+        raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
+    if value < 0:
+        raise NegativeCitation(position, value)
+    return value
+
+
+def _reference_parse_csv(data):
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
+    lines = text.splitlines()
+    if not lines:
+        return []
+    header = [cell.strip().lower() for cell in lines[0].split(",")]
+    if header == ["paper_id", "citations"]:
+        seen, values = {}, []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) != 2:
+                raise ParseError(f"line {lineno}", f"expected paper_id,citations, got {len(cells)} column(s)")
+            paper_id, count_cell = cells
+            if not paper_id:
+                raise ParseError(f"line {lineno}", "empty paper_id")
+            if paper_id in seen:
+                raise DuplicatePaperId(
+                    f"line {lineno}", f"paper_id {paper_id!r} already appeared on line {seen[paper_id]}"
+                )
+            seen[paper_id] = lineno
+            values.append(_reference_count(count_cell, lineno, len(values)))
+        return values
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        cell = line.strip()
+        if not cell:
+            continue
+        if "," in cell:
+            raise ParseError(
+                f"line {lineno}",
+                "expected one citation count per line "
+                "(two-column input needs a paper_id,citations header)",
+            )
+        values.append(_reference_count(cell, lineno, len(values)))
+    return values
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_csv_matches_reference(text, bom=False):
+    data = ("\ufeff" if bom else "") + text
+    data = data.encode("utf-8")
+    assert _outcome(lambda d: parse_citations(d, "csv"), data) == _outcome(_reference_parse_csv, data)
+
+
+# Digits and every separator or look-alike the two paths might treat apart:
+# "\x0b", "\x85" and "\u2028" end a line for splitlines() but not for the
+# plain-body check, "\xa0" is whitespace, and "\u0663" is an Arabic-Indic 3.
+_CSV_ALPHABET = "0123456789-,_ \t\r\n\x0b\x85\u2028\xa0\u0663"
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=_CSV_ALPHABET, max_size=40), st.booleans())
+def test_parse_csv_fast_path_matches_reference(text, bom):
+    _assert_csv_matches_reference(text, bom)
+
+
+def test_parse_csv_fast_path_matches_reference_seeded_sweep():
+    rng = random.Random(2718)
+    # Half the draws are mostly digits and newlines, so that both paths run.
+    weighted = "0123456789" * 3 + "\n" * 8 + _CSV_ALPHABET
+    for _ in range(10_000):
+        alphabet = weighted if rng.random() < 0.5 else _CSV_ALPHABET
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        _assert_csv_matches_reference(text, bom=rng.random() < 0.2)
+
+
+def test_parse_csv_fast_path_edges():
+    for text in ("", "\n", "\n\n7\n\n", "007\n0", "1\n" + "9" * 5000 + "\n", "paper_id,citations\n"):
+        _assert_csv_matches_reference(text)
+    with pytest.raises(ParseError) as exc:
+        parse_citations(("1\n" + "9" * 5000 + "\n").encode(), "csv")
+    assert "line 2" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -192,6 +298,62 @@ def test_report_trendline_presence_follows_gate():
     for values in (A2, A4, A5):
         report = build_report(profile(values))
         assert report.trendline is None and report.trendline_estimate is None
+
+
+# One profile per geometric case (touch, fractional, minimum distance,
+# above, below), plus n = 1.
+_ONE_PER_CASE = (A5, A3, A1, A4, [9, 9, 9], [0, 0], [1])
+
+
+def test_report_json_matches_plain_json_dumps():
+    for values in (*_ONE_PER_CASE, [], A2, list(range(500, 0, -3))):
+        report = build_report(profile(values))
+        plain = (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+        assert emit_report(report, "json") == plain
+    cases = {build_report(profile(values)).trace.case for values in _ONE_PER_CASE}
+    assert len(cases) == 5
+
+
+def test_json_report_never_fits_the_trendline(monkeypatch):
+    def no_fit(p):
+        raise AssertionError("the JSON report fitted a trendline")
+
+    monkeypatch.setattr(cli_io, "estimate_h_via_trendline", no_fit)
+    report = build_report(profile(A1))
+    json.loads(emit_report(report, "json"))
+    monkeypatch.undo()
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return estimate_h_via_trendline(p)
+
+    monkeypatch.setattr(cli_io, "estimate_h_via_trendline", counted)
+    assert report.trendline == estimate_h_via_trendline(profile(A1))[1]
+    assert report.trendline_estimate == 5
+    assert report.trendline is report.trendline and len(calls) == 1  # fitted once
+
+
+def test_text_report_trendline_intersection_is_the_exact_floor():
+    # the fitted line crosses y = x at exactly 4, and a crossing computed
+    # from the rounded float fit lands just below it
+    text = emit_report(build_report(profile([7, 7, 5, 4, 3, 2, 0])), "text").decode()
+    assert "trendline estimate: 4\n" in text
+    assert "trendline intersection: (4.000000, 4.000000)" in text
+    rng = random.Random(31)
+    shown = 0
+    for _ in range(5000):
+        values = sorted((rng.randint(0, 12) for _ in range(rng.randint(2, 8))), reverse=True)
+        text = emit_report(build_report(profile(values)), "text").decode()
+        match = re.search(r"trendline intersection: \((\d+)\.(\d{6}), \1\.\2\)", text)
+        if "trendline: " not in text:
+            assert match is None
+            continue
+        shown += 1
+        crossing = _reference_fit(values)[-1]
+        assert int(match.group(1)) == math.floor(crossing)  # unclamped
+        assert int(match.group(1) + match.group(2)) == math.floor(crossing * 10**6)
+    assert shown > 100
 
 
 def test_report_deterministic():
@@ -455,6 +617,11 @@ def test_cli_bench_unknown_method():
 def test_cli_bench_bad_sizes():
     proc = run_cli("bench", "--sizes", "abc", "--methods", "count")
     assert proc.returncode == 1
+    # int() alone would read these as 100 and 200, 5 and 100
+    for sizes in ("1_00,\u066200", "+5,100", "1" * 5000):
+        proc = run_cli("bench", "--sizes", sizes, "--methods", "count")
+        _assert_input_error(proc)
+        assert "bad size list" in proc.stderr
 
 
 def _assert_input_error(proc):
@@ -477,6 +644,18 @@ def test_cli_oversized_integer_exits_1(tmp_path):
         path.write_text(body)
         proc = run_cli("compute", "--input", str(path), "--format", name.split(".")[1])
         _assert_input_error(proc)
+
+
+def test_cli_count_too_large_exits_1(tmp_path):
+    # a float cannot hold these, so distances and the fit would overflow
+    big = "9" * 401
+    for name, body in (("big.json", f"[0, {big}, {big}]"), ("big.csv", f"0\n{big}\n{big}\n")):
+        path = tmp_path / name
+        path.write_text(body)
+        for command in (("compute", "--output", "text"), ("plot", "--output", str(tmp_path / "out.svg"))):
+            proc = run_cli(command[0], "--input", str(path), "--format", name.split(".")[1], *command[1:])
+            _assert_input_error(proc)
+            assert "position 1" in proc.stderr and "2**53" in proc.stderr
 
 
 def test_cli_deeply_nested_json_exits_1(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics import (
+    CitationTooLarge,
     Method,
     NegativeCitation,
     h_index_counting,
@@ -44,6 +45,17 @@ def test_normalize_rejects_negative_with_position():
         normalize_profile([3, 1, -2, 5])
     assert exc.value.index == 2
     assert exc.value.value == -2
+
+
+def test_normalize_rejects_counts_above_the_maximum_with_position():
+    assert normalize_profile([2**53, 0]).sorted_desc == (2**53, 0)
+    with pytest.raises(CitationTooLarge) as exc:
+        normalize_profile([3, 2**53 + 1, 5, 10**400])
+    assert exc.value.index == 1
+    assert exc.value.value == 2**53 + 1
+    assert "position 1" in str(exc.value)
+    with pytest.raises(NegativeCitation):  # a negative count is reported first
+        normalize_profile([10**400, -1])
 
 
 @given(citation_lists)

@@ -400,7 +400,7 @@ def _reference_trace(sd):
 
 
 def _reference_fit(sd):
-    """(slope, intercept, r^2, estimate): textbook least squares in Fractions."""
+    """(slope, intercept, r^2, estimate, crossing): textbook least squares in Fractions."""
     n = len(sd)
     xs = range(1, n + 1)
     mean_x, mean_y = Fraction(sum(xs), n), Fraction(sum(sd), n)
@@ -410,8 +410,9 @@ def _reference_fit(sd):
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
     r_squared = sxy * sxy / (sxx * syy) if syy else Fraction(1)
-    estimate = min(max(math.floor(intercept / (1 - slope)), 0), n)
-    return float(slope), float(intercept), float(r_squared), estimate
+    crossing = intercept / (1 - slope)
+    estimate = min(max(math.floor(crossing), 0), n)
+    return float(slope), float(intercept), float(r_squared), estimate, crossing
 
 
 def _check_against_references(values):
@@ -424,7 +425,8 @@ def _check_against_references(values):
         assert trace.intersection.y == x
     if p.n >= 2:
         estimate, fit = estimate_h_via_trendline(p)
-        assert (fit.slope, fit.intercept, fit.r_squared, estimate) == _reference_fit(p.sorted_desc)
+        got = (fit.slope, fit.intercept, fit.r_squared, estimate, fit.crossing)
+        assert got == _reference_fit(p.sorted_desc)
     return trace
 
 
