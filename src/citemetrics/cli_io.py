@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul, sub, truediv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -176,6 +178,10 @@ def _parse_json(data: bytes) -> list[int]:
         raise ParseError("document", "arrays nested too deeply") from None
     if not isinstance(parsed, list):
         raise ParseError("document", "expected a flat JSON array of citation counts")
+    # The common case, in C-level passes: every element a plain int (type()
+    # excludes bool), none negative. json.loads built the list; return it.
+    if set(map(type, parsed)) <= {int} and (not parsed or min(parsed) >= 0):
+        return parsed
     values: list[int] = []
     for i, item in enumerate(parsed):
         if isinstance(item, bool) or not isinstance(item, int):
@@ -292,11 +298,6 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def _fmt6(x: float) -> str:
-    # first six decimals, not rounded
-    return f"{math.floor(x * 10**6) / 10**6:.6f}"
-
-
 def _fmt6_exact(x: Fraction) -> str:
     # first six decimals of a non-negative rational, floored in integers
     whole, micro = divmod(math.floor(x * 10**6), 10**6)
@@ -324,8 +325,9 @@ def _report_text(report: MetricsReport) -> str:
     else:
         lines.append(f"case: {trace.case.value}")
         lines.append(f"postulate: {trace.postulate}")
-        if trace.intersection is not None:
-            lines.append(f"intersection: ({_fmt6(trace.intersection.x)}, {_fmt6(trace.intersection.y)})")
+        if trace.crossing is not None:
+            crossing = _fmt6_exact(trace.crossing)
+            lines.append(f"intersection: ({crossing}, {crossing})")
         if trace.distances is not None:
             lines.append("distances: " + ", ".join(_fmt_num(d) for d in trace.distances))
             lines.append(f"min distance: {_fmt_num(min(trace.distances))} at journal {trace.argmin_index}")
@@ -368,6 +370,9 @@ _MARGIN_LEFT = 62
 _MARGIN_RIGHT = 18
 _MARGIN_TOP = 18
 _MARGIN_BOTTOM = 52
+_FRAME_WIDTH = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_FRAME_HEIGHT = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_FRAME_BOTTOM = SVG_HEIGHT - _MARGIN_BOTTOM
 
 _IDENTITY_COLOR = "blue"
 _CITATIONS_COLOR = "brown"
@@ -377,16 +382,28 @@ _DISTANCE_COLOR = "red"
 
 
 def plot_scales(profile: CitationProfile) -> tuple[float, float]:
-    """Data-domain extents (x_max, y_max) used by the plot transform."""
+    """Data-domain extents (x_max, y_max) of a non-empty profile's plot."""
     x_max = float(max(profile.n, 1))
-    y_max = float(max(max(profile.sorted_desc), profile.n, 1))
+    y_max = float(max(profile.sorted_desc[0], profile.n, 1))
     return x_max, y_max
 
 
 def _to_px(x: float, y: float, x_max: float, y_max: float) -> tuple[float, float]:
-    px = _MARGIN_LEFT + (x / x_max) * (SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT)
-    py = SVG_HEIGHT - _MARGIN_BOTTOM - (y / y_max) * (SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM)
+    px = _MARGIN_LEFT + (x / x_max) * _FRAME_WIDTH
+    py = _FRAME_BOTTOM - (y / y_max) * _FRAME_HEIGHT
     return px, py
+
+
+def _polyline_points(sorted_desc: Sequence[int], x_max: float, y_max: float) -> str:
+    """The points attribute through (rank, count) at ranks 1..n, byte for
+    byte what _to_px and "%.2f" give vertex by vertex: C-level maps that
+    repeat _to_px's float operations in the same order."""
+    ranks = range(1, len(sorted_desc) + 1)
+    xs = map(mul, map(truediv, ranks, repeat(x_max)), repeat(_FRAME_WIDTH))
+    xs = map(add, repeat(_MARGIN_LEFT), xs)
+    ys = map(mul, map(truediv, sorted_desc, repeat(y_max)), repeat(_FRAME_HEIGHT))
+    ys = map(sub, repeat(_FRAME_BOTTOM), ys)
+    return " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
 
 
 def _svg_line(a: tuple[float, float], b: tuple[float, float], color: str, dash: str = "") -> str:
@@ -420,19 +437,15 @@ def emit_plot_svg(
         f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
-    frame_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    frame_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     parts.append(
-        f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{frame_w}" height="{frame_h}" '
+        f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{_FRAME_WIDTH}" height="{_FRAME_HEIGHT}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>'
     )
 
     identity_reach = min(x_max, y_max)
     parts.append(_svg_line(px(0, 0), px(identity_reach, identity_reach), _IDENTITY_COLOR))
 
-    poly = " ".join(
-        "{:.2f},{:.2f}".format(*px(i, c)) for i, c in enumerate(profile.sorted_desc, start=1)
-    )
+    poly = _polyline_points(profile.sorted_desc, x_max, y_max)
     parts.append(
         f'<polyline fill="none" stroke="{_CITATIONS_COLOR}" stroke-width="2" points="{poly}"/>'
     )

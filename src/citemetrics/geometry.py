@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, pairwise
 from operator import mul, sub
 from typing import Iterator, Sequence
@@ -106,16 +107,26 @@ class GeometricTrace:
     point on the identity line, never appears: that point is an integer
     intersection, so "i.a" subsumes it.
 
-    ``intersection`` is present exactly for the two intersection cases;
-    ``distances`` and ``argmin_index`` exactly for the minimum-distance
-    case, with argmin_index (1-based) pointing at a true minimum.
+    ``intersection`` (floats) and ``crossing`` (its exact abscissa) are
+    present exactly for the two intersection cases; ``distances`` and
+    ``argmin_index`` exactly for the minimum-distance case, with
+    argmin_index (1-based) pointing at a true minimum. The distance table
+    is computed from ``sorted_desc`` on the first read of ``distances``,
+    so a caller that never shows it (the plot) never builds it.
     """
 
     case: GeometricCase
     postulate: str
+    sorted_desc: tuple[int, ...] = field(repr=False)
     intersection: Point2 | None = None
-    distances: tuple[float, ...] | None = None
+    crossing: Fraction | None = None
     argmin_index: int | None = None
+
+    @cached_property
+    def distances(self) -> tuple[float, ...] | None:
+        if self.case is not GeometricCase.NO_CROSSING_MIN_DISTANCE:
+            return None
+        return tuple(_gaps(self.sorted_desc))
 
 
 def _gaps(sorted_desc: Sequence[int]) -> Iterator[float]:
@@ -163,23 +174,27 @@ def classify_profile(profile: CitationProfile) -> GeometricTrace:
     k = bisect_right(range(n), 0, key=lambda i: i + 1 - sd[i])
 
     if k and sd[k - 1] == k:
-        point = Point2(float(k), float(k))
         return GeometricTrace(
-            case=GeometricCase.INTEGER_INTERSECTION, postulate="i.a", intersection=point
+            case=GeometricCase.INTEGER_INTERSECTION,
+            postulate="i.a",
+            sorted_desc=sd,
+            intersection=Point2(float(k), float(k)),
+            crossing=Fraction(k),
         )
     if k == n:
-        return GeometricTrace(case=GeometricCase.ENTIRELY_ABOVE, postulate="n/a")
+        return GeometricTrace(case=GeometricCase.ENTIRELY_ABOVE, postulate="n/a", sorted_desc=sd)
     if k == 0:
-        return GeometricTrace(case=GeometricCase.ENTIRELY_BELOW, postulate="n/a")
+        return GeometricTrace(case=GeometricCase.ENTIRELY_BELOW, postulate="n/a", sorted_desc=sd)
 
     if _is_collinear(sd):
-        step = sd[k] - sd[k - 1]  # <= -1 on a straddling segment
-        t = (sd[k - 1] - k) / (1 - step)
-        x_star = k + t  # strictly inside (k, k+1)
+        rise = 1 - (sd[k] - sd[k - 1])  # >= 2: the step is <= -1 on a straddling segment
+        x_star = k + (sd[k - 1] - k) / rise  # the float can round up to k + 1
         return GeometricTrace(
             case=GeometricCase.FRACTIONAL_INTERSECTION,
             postulate="ii.a",
+            sorted_desc=sd,
             intersection=Point2(x_star, x_star),
+            crossing=k + Fraction(sd[k - 1] - k, rise),  # strictly inside (k, k+1)
         )
 
     if sd[k - 1] - k <= k + 1 - sd[k]:
@@ -189,7 +204,7 @@ def classify_profile(profile: CitationProfile) -> GeometricTrace:
     return GeometricTrace(
         case=GeometricCase.NO_CROSSING_MIN_DISTANCE,
         postulate=label,
-        distances=tuple(_gaps(sd)),
+        sorted_desc=sd,
         argmin_index=argmin,
     )
 
@@ -198,7 +213,8 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
     """h-index from the geometric classification.
 
     Case to value: integer intersection -> its coordinate; fractional
-    crossing -> floor of the crossing abscissa; minimum distance -> the
+    crossing -> floor of the exact crossing abscissa, taken from integers
+    (the float crossing can round up to the next rank); minimum distance -> the
     argmin rank, minus one when its citation count lies below the
     identity line; entirely above -> n; entirely below -> 0. An empty
     profile yields h = 0 with no trace. Agrees with the definition oracle
@@ -208,10 +224,8 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
         return _make_result(0, Method.GEOMETRIC), None
     trace = classify_profile(profile)
     sd = profile.sorted_desc
-    if trace.case is GeometricCase.INTEGER_INTERSECTION:
-        h = int(trace.intersection.x)
-    elif trace.case is GeometricCase.FRACTIONAL_INTERSECTION:
-        h = math.floor(trace.intersection.x)
+    if trace.crossing is not None:  # an integer or fractional intersection
+        h = math.floor(trace.crossing)
     elif trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE:
         argmin = trace.argmin_index
         h = argmin - 1 if sd[argmin - 1] < argmin else argmin

@@ -1,5 +1,6 @@
 """Parsing, report emission, SVG plots, benchmarks, and the CLI."""
 
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from citemetrics import (
     run_benchmark,
     scaling_exponents,
 )
-from citemetrics import cli_io
+from citemetrics import cli_io, geometry
 from citemetrics.cli_io import _MARGIN_LEFT, _MARGIN_RIGHT, SVG_WIDTH, format_benchmark_report, plot_scales
 from conftest import A1, A1_CSV, A2, A3, A4, A5, profile
 from test_geometry import _reference_fit
@@ -131,6 +133,66 @@ def test_parse_json_negative_count():
 @given(citation_lists)
 def test_json_round_trip(values):
     assert parse_citations(emit_citations_json(values), "json") == values
+
+
+# A copy of the JSON parser as it stood before the all-int fast path, which
+# checked and copied every element in a Python loop.
+def _reference_parse_json(data):
+    try:
+        parsed = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
+    except ValueError as exc:
+        raise ParseError("document", str(exc)) from None
+    except RecursionError:
+        raise ParseError("document", "arrays nested too deeply") from None
+    if not isinstance(parsed, list):
+        raise ParseError("document", "expected a flat JSON array of citation counts")
+    values = []
+    for i, item in enumerate(parsed):
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise ParseError(f"element {i}", f"expected an integer citation count, got {item!r}")
+        if item < 0:
+            raise NegativeCitation(i, item)
+        values.append(item)
+    return values
+
+
+def _assert_json_matches_reference(document):
+    data = json.dumps(document).encode("utf-8")
+    assert _outcome(lambda d: parse_citations(d, "json"), data) == _outcome(_reference_parse_json, data)
+
+
+# Everything an array element can be that is not a count, mixed with counts.
+json_elements = st.one_of(
+    st.integers(min_value=-5, max_value=2**60),
+    st.booleans(),
+    st.sampled_from([2.0, 0.0, -0.0, 1.5, -3.0, 1e20]),
+    st.none(),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=2),
+    st.text(alphabet="07a", max_size=2),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(json_elements, max_size=12) | st.lists(st.integers(min_value=0), max_size=12))
+def test_parse_json_fast_path_matches_reference(document):
+    _assert_json_matches_reference(document)
+
+
+def test_parse_json_fast_path_matches_reference_seeded_sweep():
+    rng = random.Random(1618)
+    oddities = (True, False, 2.0, -0.0, 1.5, None, [], [3], {"a": 1}, "4", -1, -(2**53))
+    for _ in range(10_000):
+        document = [rng.randint(0, 2**53) for _ in range(rng.randint(0, 12))]
+        # half the arrays stay all counts, so that both paths run
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            document.insert(rng.randint(0, len(document)), rng.choice(oddities))
+        _assert_json_matches_reference(document)
+    for document in ([], [0], [True], [False, 1], [1, 2.0], [0, -1], [None], [[1, 2]], 7, {}):
+        _assert_json_matches_reference(document)
 
 
 # A copy of the per-line CSV parser as it stood before the single-pass fast
@@ -356,6 +418,28 @@ def test_text_report_trendline_intersection_is_the_exact_floor():
     assert shown > 100
 
 
+def test_text_report_intersection_is_the_exact_floor():
+    # the exact crossing is 7.94; the float one is 7.9399999...
+    text = emit_report(build_report(profile([348, 299, 250, 201, 152, 103, 54, 5])), "text").decode()
+    assert "\nintersection: (7.940000, 7.940000)\n" in text
+    rng = random.Random(1)
+    shown = floats_below = 0
+    for n, step in itertools.product(range(2, 41), range(1, 61)):
+        last = rng.randint(0, 29)
+        values = [last + step * i for i in range(n)]
+        report = build_report(profile(values))
+        match = re.search(r"^intersection: \((\d+)\.(\d{6}), \1\.\2\)$", emit_report(report, "text").decode(), re.M)
+        if report.trace.intersection is None:
+            assert match is None
+            continue
+        shown += 1
+        top = values[-1]  # the line y = top - step * (x - 1) meets y = x at (top + step) / (1 + step)
+        micro = math.floor(Fraction(top + step, 1 + step) * 10**6)
+        assert int(match.group(1) + match.group(2)) == micro
+        floats_below += math.floor(report.trace.intersection.x * 10**6) != micro
+    assert shown > 1000 and floats_below > 0
+
+
 def test_report_deterministic():
     report = build_report(profile(A1))
     assert emit_report(report, "json") == emit_report(report, "json")
@@ -454,6 +538,36 @@ def test_svg_empty_profile():
     _, trace = geometric_h_index(p)
     with pytest.raises(EmptyProfile):
         emit_plot_svg(profile([]), trace)
+
+
+def _assert_polyline_matches_reference(values):
+    p = profile(values)
+    _, trace = geometric_h_index(p)
+    points = re.search(r'<polyline [^>]*points="([^"]*)"', emit_plot_svg(p, trace).decode()).group(1)
+    x_max, y_max = plot_scales(p)
+    # one _to_px call and one format per vertex, as the polyline was first drawn
+    reference = " ".join(
+        "{:.2f},{:.2f}".format(*cli_io._to_px(i, c, x_max, y_max)) for i, c in enumerate(p.sorted_desc, start=1)
+    )
+    assert points == reference
+    assert len(points.split()) == p.n
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**6) | st.sampled_from([0, 1, 2**53 - 1, 2**53]), min_size=1, max_size=120))
+def test_svg_polyline_matches_per_vertex_reference(values):
+    _assert_polyline_matches_reference(values)
+
+
+def test_svg_polyline_matches_per_vertex_reference_seeded_sweep():
+    rng = random.Random(4242)
+    for _ in range(10_000):
+        n = rng.randint(1, 60)
+        top = rng.choice((0, 1, n // 2, n, 3 * n, 10**6, 2**53))
+        _assert_polyline_matches_reference([rng.randint(0, top) for _ in range(n)])
+    # n = 1, all zero, n above every count, counts at the maximum; at
+    # n = 1664, i * (560 / n) rounds rank 559 apart from (i / n) * 560
+    for values in ([0], [5], [0] * 7, [1] * 50, [2**53], [2**53, 2**53, 0], [2**53] * 3 + [1], [0] * 1664):
+        _assert_polyline_matches_reference(values)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +770,33 @@ def test_cli_count_too_large_exits_1(tmp_path):
             proc = run_cli(command[0], "--input", str(path), "--format", name.split(".")[1], *command[1:])
             _assert_input_error(proc)
             assert "position 1" in proc.stderr and "2**53" in proc.stderr
+
+
+def test_cli_geometric_agrees_at_the_count_maximum(tmp_path):
+    # the float crossing of [2**53, 1] rounds up to exactly 2.0; h is 1
+    path = tmp_path / "top.json"
+    path.write_text(f"[{2**53}, 1]")
+    proc = run_cli("compute", "--input", str(path), "--format", "json", "--output", "text")
+    assert proc.returncode == 0, proc.stderr
+    assert "agreement: yes" in proc.stdout and "  geometric: 1 " in proc.stdout
+
+
+def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path):
+    path = tmp_path / "a4.json"
+    path.write_bytes(emit_citations_json(A4))
+
+    def no_table(sorted_desc):
+        raise AssertionError("the distance table was built")
+
+    monkeypatch.setattr(geometry, "_gaps", no_table)
+    out = tmp_path / "a4.svg"
+    assert cli_io.main(["plot", "--input", str(path), "--format", "json", "--output", str(out)]) == 0
+    assert 'stroke="red"' in out.read_text()  # the minimum-distance segment is still drawn
+    monkeypatch.undo()
+    report = build_report(profile(A4))
+    assert json.loads(emit_report(report, "json"))["distances"] == [399, 298, 197, 2]
+    assert "\ndistances: 399, 298, 197, 2\n" in emit_report(report, "text").decode()
+    assert report.trace.distances is report.trace.distances  # built once
 
 
 def test_cli_deeply_nested_json_exits_1(tmp_path):

@@ -219,6 +219,16 @@ def test_geometric_fixtures(values, expected_h, expected_postulate):
     assert trace.postulate == expected_postulate
 
 
+def test_geometric_floors_the_exact_crossing():
+    # the crossing lies just below 2; as a float, k + t rounds up to exactly 2.0
+    for top in (2**53, 2**53 - 1):
+        p = profile([top, 1])
+        result, trace = geometric_h_index(p)
+        assert trace.case is GeometricCase.FRACTIONAL_INTERSECTION
+        assert trace.intersection.x == 2.0 and trace.crossing < 2
+        assert result.h == 1 == h_index_oracle(p).h
+
+
 def test_geometric_empty_profile_has_no_trace():
     result, trace = geometric_h_index(profile([]))
     assert result.h == 0
@@ -375,28 +385,30 @@ def test_estimate_always_within_bounds(values):
 
 
 def _reference_trace(sd):
-    """(case, postulate, intersection x, distances, argmin) by full scans."""
+    """(case, postulate, intersection x, exact crossing, distances, argmin) by full scans."""
     n = len(sd)
     gaps = [c - rank for rank, c in enumerate(sd, start=1)]
     if 0 in gaps:
         touch = gaps.index(0) + 1
-        return GeometricCase.INTEGER_INTERSECTION, "i.a", float(touch), None, None
+        return GeometricCase.INTEGER_INTERSECTION, "i.a", float(touch), touch, None, None
     if all(g > 0 for g in gaps):
-        return GeometricCase.ENTIRELY_ABOVE, "n/a", None, None, None
+        return GeometricCase.ENTIRELY_ABOVE, "n/a", None, None, None, None
     if all(g < 0 for g in gaps):
-        return GeometricCase.ENTIRELY_BELOW, "n/a", None, None, None
+        return GeometricCase.ENTIRELY_BELOW, "n/a", None, None, None, None
     if len({b - a for a, b in zip(sd, sd[1:])}) == 1:
         k = max(rank for rank in range(1, n + 1) if gaps[rank - 1] > 0)
         step = sd[k] - sd[k - 1]
         x_star = k + (sd[k - 1] - k) / (1 - step)  # interpolated between ranks k and k+1
-        return GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", x_star, None, None
+        # the line y = sd[0] + step * (x - 1) meets y = x here
+        crossing = Fraction(sd[0] - step, 1 - step)
+        return GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", x_star, crossing, None, None
     distances = tuple(float(abs(g)) for g in gaps)
     at_minimum = [rank for rank in range(1, n + 1) if distances[rank - 1] == min(distances)]
     # a tie goes to the rank whose point is above the identity line
     above = [rank for rank in at_minimum if gaps[rank - 1] > 0]
     argmin = (above or at_minimum)[0]
     label = "iii.c" if gaps[argmin - 1] > 0 else "iii.b"
-    return GeometricCase.NO_CROSSING_MIN_DISTANCE, label, None, distances, argmin
+    return GeometricCase.NO_CROSSING_MIN_DISTANCE, label, None, None, distances, argmin
 
 
 def _reference_fit(sd):
@@ -419,7 +431,7 @@ def _check_against_references(values):
     p = normalize_profile(values)
     trace = classify_profile(p)
     x = trace.intersection.x if trace.intersection is not None else None
-    got = (trace.case, trace.postulate, x, trace.distances, trace.argmin_index)
+    got = (trace.case, trace.postulate, x, trace.crossing, trace.distances, trace.argmin_index)
     assert got == _reference_trace(p.sorted_desc)
     if trace.intersection is not None:
         assert trace.intersection.y == x
