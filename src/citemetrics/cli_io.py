@@ -47,7 +47,6 @@ from .geometry import (
     LineFit,
     estimate_h_via_trendline,
     geometric_h_index,
-    intersect_with_identity,
     trendline_applicable,
 )
 
@@ -202,29 +201,23 @@ def emit_citations_json(values: Iterable[int]) -> bytes:
 
 
 @dataclass(frozen=True)
-class ProfileSummary:
-    n: int
-    min_citations: int | None
-    max_citations: int | None
-    total_citations: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """All method results for one profile, ready for serialization.
 
-    ``agreement`` must be true on every real input; a false value is a
-    defect in this package and is surfaced loudly (CLI exit code 2),
-    never silently. ``trendline``/``trendline_estimate`` are present only
-    when the applicability gate passes, and are computed on first access:
-    the JSON report never reads them. ``trace`` is absent for n = 0.
+    ``profile`` is the one source of n and the count summary. ``agreement``
+    must be true on every real input; a false value is a defect in this
+    package and is surfaced loudly (CLI exit code 2), never silently. It is
+    stored, not derived from ``results``, so a view that keeps one method's
+    result still carries the verdict over all four. ``trendline`` and
+    ``trendline_estimate`` are present only when the applicability gate
+    passes, and are computed on first access: the JSON report never reads
+    them. ``trace`` is absent for n = 0.
     """
 
-    summary: ProfileSummary
+    profile: CitationProfile = field(repr=False)
     results: tuple[HIndexResult, ...]
     trace: GeometricTrace | None
     agreement: bool
-    profile: CitationProfile = field(repr=False)  # the trendline is fitted from it on demand
 
     @cached_property
     def _fit_and_estimate(self) -> tuple[LineFit | None, int | None]:
@@ -257,19 +250,11 @@ def build_report(profile: CitationProfile) -> MetricsReport:
         h_index_oracle(profile),
         geometric,
     )
-    sd = profile.sorted_desc
-    summary = ProfileSummary(
-        n=profile.n,
-        min_citations=sd[-1] if sd else None,
-        max_citations=sd[0] if sd else None,
-        total_citations=sum(sd),
-    )
     return MetricsReport(
-        summary=summary,
+        profile=profile,
         results=results,
         trace=trace,
         agreement=len({r.h for r in results}) == 1,
-        profile=profile,
     )
 
 
@@ -283,16 +268,14 @@ def _headline_h(report: MetricsReport) -> int:
 def report_to_dict(report: MetricsReport) -> dict:
     """Report as a plain dict with the fixed JSON key order."""
     trace = report.trace
-    intersection = None
-    if trace is not None and trace.intersection is not None:
-        intersection = [trace.intersection.x, trace.intersection.y]
+    crossing = trace.crossing if trace is not None else None
     return {
-        "n": report.summary.n,
+        "n": report.profile.n,
         "h": _headline_h(report),
         "methods": {r.method.value: r.h for r in report.results},
         "case": trace.case.value if trace is not None else None,
         "postulate": trace.postulate if trace is not None else None,
-        "intersection": intersection,
+        "intersection": [float(crossing)] * 2 if crossing is not None else None,
         "distances": list(trace.distances) if trace is not None and trace.distances else None,
         "agreement": report.agreement,
     }
@@ -304,20 +287,15 @@ def _fmt6_exact(x: Fraction) -> str:
     return f"{whole}.{micro:06d}"
 
 
-def _fmt_num(x: float) -> str:
-    return f"{x:g}"
-
-
 def _report_text(report: MetricsReport) -> str:
-    s = report.summary
-    lines = [f"papers: {s.n}", f"total citations: {s.total_citations}"]
-    if s.n:
-        lines.append(f"max citation: {s.max_citations}")
-        lines.append(f"min citation: {s.min_citations}")
+    sd = report.profile.sorted_desc
+    lines = [f"papers: {len(sd)}", f"total citations: {sum(sd)}"]
+    if sd:
+        lines.append(f"max citation: {sd[0]}")
+        lines.append(f"min citation: {sd[-1]}")
     lines.append(f"h-index: {_headline_h(report)}")
     for result in report.results:
-        suffix = f" (pivot paper {result.pivot})" if result.pivot is not None else ""
-        lines.append(f"  {result.method.value}: {result.h}{suffix}")
+        lines.append(f"  {result.method.value}: {result.h}")
     lines.append(f"agreement: {'yes' if report.agreement else 'NO (methods disagree, this is a bug)'}")
     trace = report.trace
     if trace is None:
@@ -329,8 +307,8 @@ def _report_text(report: MetricsReport) -> str:
             crossing = _fmt6_exact(trace.crossing)
             lines.append(f"intersection: ({crossing}, {crossing})")
         if trace.distances is not None:
-            lines.append("distances: " + ", ".join(_fmt_num(d) for d in trace.distances))
-            lines.append(f"min distance: {_fmt_num(min(trace.distances))} at journal {trace.argmin_index}")
+            lines.append("distances: " + ", ".join(map(str, trace.distances)))
+            lines.append(f"min distance: {min(trace.distances)} at journal {trace.argmin_index}")
     if report.trendline is not None:
         fit = report.trendline
         lines.append(
@@ -351,9 +329,9 @@ def emit_report(report: MetricsReport, fmt: str) -> bytes:
         if table is None:
             return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
         # indent=2 runs json's pure-Python encoder on every element, so the
-        # table is laid out here as json would: one float repr per line.
+        # table is laid out here as json would: one integer per line.
         payload["distances"] = None
-        rows = "[\n    " + ",\n    ".join(map(float.__repr__, table)) + "\n  ]"
+        rows = "[\n    " + ",\n    ".join(map(str, table)) + "\n  ]"
         text = json.dumps(payload, indent=2).replace('"distances": null', '"distances": ' + rows, 1)
         return (text + "\n").encode("utf-8")
     if fmt == "text":
@@ -420,10 +398,11 @@ def emit_plot_svg(
     """Render the geometric construction as a standalone SVG document.
 
     Contains the identity (journal number) line, the citation polyline,
-    the trendline with its identity-crossing marker when a fit is given,
-    otherwise a marker at the trace's intersection point or a vertical
-    segment showing the minimum-distance gap. Output is deterministic:
-    identical inputs give identical bytes.
+    the trendline with a marker at its exact identity crossing
+    (``fit.crossing``) when a fit is given, otherwise a marker at the
+    trace's ``crossing`` or a vertical segment showing the minimum-distance
+    gap. A fit built by hand without a ``crossing`` gets no marker. Output
+    is deterministic: identical inputs give identical bytes.
     """
     if profile.n == 0:
         raise EmptyProfile("cannot plot an empty profile")
@@ -455,9 +434,9 @@ def emit_plot_svg(
         if lo < hi:
             parts.append(_svg_line(px(lo, fit.predict(lo)), px(hi, fit.predict(hi)), _TRENDLINE_COLOR))
 
-    marker = intersect_with_identity(fit) if fit is not None else trace.intersection
+    marker = fit.crossing if fit is not None else trace.crossing
     if marker is not None:
-        mx, my = px(marker.x, marker.y)
+        mx, my = px(float(marker), float(marker))
         parts.append(f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="4" fill="{_MARKER_COLOR}"/>')
     elif trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE:
         j = trace.argmin_index
@@ -481,11 +460,11 @@ def emit_plot_svg(
     )
     parts.append(
         f'<text x="{SVG_WIDTH - _MARGIN_RIGHT}" y="{axis_y}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{_fmt_num(x_max)}</text>'
+        f'font-size="12" font-family="sans-serif">{x_max:.0f}</text>'
     )
     parts.append(
         f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 5}" text-anchor="end" '
-        f'font-size="12" font-family="sans-serif">{_fmt_num(y_max)}</text>'
+        f'font-size="12" font-family="sans-serif">{y_max:.0f}</text>'
     )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

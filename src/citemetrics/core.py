@@ -28,8 +28,8 @@ class NegativeCitation(ValueError):
         super().__init__(f"citation count at position {index} is negative: {value}")
 
 
-# Largest accepted count: every integer up to 2**53 is an exact float, so
-# every vertical distance and every fitted quantity stays finite and exact.
+# Largest accepted count: it keeps the fitted line and the intersection
+# float finite. Vertical distances are exact integers at any size.
 MAX_CITATION = 2**53
 
 
@@ -61,20 +61,18 @@ class CitationProfile:
     """
 
     sorted_desc: tuple[int, ...]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.sorted_desc)
 
 
 @dataclass(frozen=True)
 class HIndexResult:
-    """An h value, the method that computed it, and the pivotal paper.
-
-    ``pivot`` is the 1-based rank (in descending citation order) of the
-    last paper counted into h; it is absent when h = 0.
-    """
+    """An h value and the method that computed it."""
 
     h: int
     method: Method
-    pivot: int | None = None
 
 
 def normalize_profile(raw: Iterable[int]) -> CitationProfile:
@@ -92,11 +90,7 @@ def normalize_profile(raw: Iterable[int]) -> CitationProfile:
     if sorted_desc and sorted_desc[0] > MAX_CITATION:
         bad = next(i for i, v in enumerate(values) if v > MAX_CITATION)
         raise CitationTooLarge(bad, values[bad])
-    return CitationProfile(sorted_desc=sorted_desc, n=len(values))
-
-
-def _make_result(h: int, method: Method) -> HIndexResult:
-    return HIndexResult(h=h, method=method, pivot=h if h >= 1 else None)
+    return CitationProfile(sorted_desc)
 
 
 def _h_scan_ascending(ascending: Sequence[int]) -> int:
@@ -150,14 +144,14 @@ def _h_definition_scan(sorted_desc: Sequence[int]) -> int:
 def h_index_sort_scan(profile: CitationProfile) -> HIndexResult:
     """h-index by the sort-and-scan recipe (O(n log n) with the sort)."""
     ascending = profile.sorted_desc[::-1]
-    return _make_result(_h_scan_ascending(ascending), Method.SORT_SCAN)
+    return HIndexResult(_h_scan_ascending(ascending), Method.SORT_SCAN)
 
 
 def h_index_counting(profile: CitationProfile) -> HIndexResult:
     """h-index by clamped counting; linear time, needs no sorted view."""
-    return _make_result(_h_counting(profile.sorted_desc), Method.COUNTING)
+    return HIndexResult(_h_counting(profile.sorted_desc), Method.COUNTING)
 
 
 def h_index_oracle(profile: CitationProfile) -> HIndexResult:
     """h-index straight from the definition; the reference for tests."""
-    return _make_result(_h_definition_scan(profile.sorted_desc), Method.ORACLE)
+    return HIndexResult(_h_definition_scan(profile.sorted_desc), Method.ORACLE)

@@ -44,7 +44,7 @@ from itertools import islice, pairwise
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .core import CitationProfile, HIndexResult, Method, _make_result
+from .core import CitationProfile, HIndexResult, Method
 
 
 class EmptyProfile(ValueError):
@@ -107,33 +107,33 @@ class GeometricTrace:
     point on the identity line, never appears: that point is an integer
     intersection, so "i.a" subsumes it.
 
-    ``intersection`` (floats) and ``crossing`` (its exact abscissa) are
-    present exactly for the two intersection cases; ``distances`` and
-    ``argmin_index`` exactly for the minimum-distance case, with
-    argmin_index (1-based) pointing at a true minimum. The distance table
-    is computed from ``sorted_desc`` on the first read of ``distances``,
-    so a caller that never shows it (the plot) never builds it.
+    ``crossing``, the exact abscissa of the intersection (x, x) with y = x,
+    is present exactly for the two intersection cases; ``distances`` (the
+    integer gaps |citations - rank|) and ``argmin_index`` exactly for the
+    minimum-distance case, with argmin_index (1-based) pointing at a true
+    minimum. The distance table is computed from ``sorted_desc`` on the
+    first read of ``distances``, so a caller that never shows it (the
+    plot) never builds it.
     """
 
     case: GeometricCase
     postulate: str
     sorted_desc: tuple[int, ...] = field(repr=False)
-    intersection: Point2 | None = None
     crossing: Fraction | None = None
     argmin_index: int | None = None
 
     @cached_property
-    def distances(self) -> tuple[float, ...] | None:
+    def distances(self) -> tuple[int, ...] | None:
         if self.case is not GeometricCase.NO_CROSSING_MIN_DISTANCE:
             return None
         return tuple(_gaps(self.sorted_desc))
 
 
-def _gaps(sorted_desc: Sequence[int]) -> Iterator[float]:
-    return map(float, map(abs, map(sub, sorted_desc, range(1, len(sorted_desc) + 1))))
+def _gaps(sorted_desc: Sequence[int]) -> Iterator[int]:
+    return map(abs, map(sub, sorted_desc, range(1, len(sorted_desc) + 1)))
 
 
-def vertical_distances(profile: CitationProfile) -> list[float]:
+def vertical_distances(profile: CitationProfile) -> list[int]:
     """Vertical gap |citations - rank| at each rank, 1-based.
 
     Equals the Euclidean distance between (rank, rank) on the identity
@@ -178,7 +178,6 @@ def classify_profile(profile: CitationProfile) -> GeometricTrace:
             case=GeometricCase.INTEGER_INTERSECTION,
             postulate="i.a",
             sorted_desc=sd,
-            intersection=Point2(float(k), float(k)),
             crossing=Fraction(k),
         )
     if k == n:
@@ -188,12 +187,10 @@ def classify_profile(profile: CitationProfile) -> GeometricTrace:
 
     if _is_collinear(sd):
         rise = 1 - (sd[k] - sd[k - 1])  # >= 2: the step is <= -1 on a straddling segment
-        x_star = k + (sd[k - 1] - k) / rise  # the float can round up to k + 1
         return GeometricTrace(
             case=GeometricCase.FRACTIONAL_INTERSECTION,
             postulate="ii.a",
             sorted_desc=sd,
-            intersection=Point2(x_star, x_star),
             crossing=k + Fraction(sd[k - 1] - k, rise),  # strictly inside (k, k+1)
         )
 
@@ -221,7 +218,7 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
     on every input (the test suite enforces this across the board).
     """
     if profile.n == 0:
-        return _make_result(0, Method.GEOMETRIC), None
+        return HIndexResult(0, Method.GEOMETRIC), None
     trace = classify_profile(profile)
     sd = profile.sorted_desc
     if trace.crossing is not None:  # an integer or fractional intersection
@@ -233,7 +230,7 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
         h = profile.n
     else:
         h = 0
-    return _make_result(h, Method.GEOMETRIC), trace
+    return HIndexResult(h, Method.GEOMETRIC), trace
 
 
 def fit_trendline(profile: CitationProfile) -> LineFit:

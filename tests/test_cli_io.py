@@ -1,5 +1,7 @@
 """Parsing, report emission, SVG plots, benchmarks, and the CLI."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -429,15 +431,33 @@ def test_text_report_intersection_is_the_exact_floor():
         values = [last + step * i for i in range(n)]
         report = build_report(profile(values))
         match = re.search(r"^intersection: \((\d+)\.(\d{6}), \1\.\2\)$", emit_report(report, "text").decode(), re.M)
-        if report.trace.intersection is None:
+        if report.trace.crossing is None:
             assert match is None
             continue
         shown += 1
         top = values[-1]  # the line y = top - step * (x - 1) meets y = x at (top + step) / (1 + step)
         micro = math.floor(Fraction(top + step, 1 + step) * 10**6)
         assert int(match.group(1) + match.group(2)) == micro
-        floats_below += math.floor(report.trace.intersection.x * 10**6) != micro
+        floats_below += math.floor(float(report.trace.crossing) * 10**6) != micro
     assert shown > 1000 and floats_below > 0
+
+
+def test_json_report_intersection_is_the_exact_crossing_rounded_once():
+    # k + t rounded twice gave 1.6666666666666665 for [0, 5]; a double
+    # cannot resolve 2 - 2**-53 below 2.0, a round-half-to-even tie
+    for values, x in (([0, 5], 1.6666666666666667), ([2**53 - 1, 1], 1.9999999999999998), ([2**53, 1], 2.0)):
+        assert report_to_dict(build_report(profile(values)))["intersection"] == [x, x]
+    rng = random.Random(7)
+    shown = 0
+    for _ in range(3000):
+        n, step = rng.randint(1, 40), rng.randint(0, 60)
+        last = rng.choice((rng.randint(0, 29), rng.randint(0, 2**53 - step * (n - 1))))
+        sd = [last + step * i for i in range(n)][::-1]
+        crossing = Fraction(sd[0] + step, 1 + step)  # where y = sd[0] - step * (x - 1) meets y = x
+        expected = [float(crossing)] * 2 if 1 <= crossing <= n else None
+        assert report_to_dict(build_report(profile(sd)))["intersection"] == expected
+        shown += expected is not None
+    assert shown > 500
 
 
 def test_report_deterministic():
@@ -452,7 +472,7 @@ def test_disagreement_is_surfaced_not_hidden():
     report = build_report(profile(A1))
     broken = replace(
         report,
-        results=report.results[:3] + (HIndexResult(h=99, method=Method.GEOMETRIC, pivot=99),),
+        results=report.results[:3] + (HIndexResult(99, Method.GEOMETRIC),),
         agreement=False,
     )
     payload = json.loads(emit_report(broken, "json"))
@@ -518,6 +538,31 @@ def test_svg_a4_distance_segment():
         svg,
     )
     assert segment is not None
+
+
+def _axis_labels(svg: str) -> tuple[str, str]:
+    # (x-axis end label, y-axis top label)
+    x_label = re.search(r'<text x="{}" [^>]*>([^<]*)</text>'.format(SVG_WIDTH - _MARGIN_RIGHT), svg).group(1)
+    y_label = re.search(r'<text [^>]*text-anchor="end"[^>]*>([^<]*)</text>', svg).group(1)
+    return x_label, y_label
+
+
+def test_large_gaps_and_axis_labels_print_exactly(tmp_path, capsysbinary):
+    # "%g" printed these as 5e+06
+    path = tmp_path / "big.csv"
+    path.write_bytes(b"5000001\n3\n1\n")
+    assert cli_io.main(["compute", "--input", str(path), "--output", "text"]) == 0
+    text = capsysbinary.readouterr().out.decode()
+    assert "\ndistances: 5000000, 1, 2\nmin distance: 1 at journal 2\n" in text
+    assert cli_io.main(["compute", "--input", str(path), "--output", "json"]) == 0
+    assert b'"distances": [\n    5000000,\n    1,\n    2\n  ]' in capsysbinary.readouterr().out
+    for values, labels in (
+        ([5000001, 3, 1], ("3", "5000001")),
+        ([2**53, 1], ("2", "9007199254740992")),
+        (A4, ("4", "400")),
+    ):
+        p = profile(values)
+        assert _axis_labels(emit_plot_svg(p, geometric_h_index(p)[1]).decode()) == labels
 
 
 def test_svg_deterministic_and_self_contained():
@@ -778,7 +823,7 @@ def test_cli_geometric_agrees_at_the_count_maximum(tmp_path):
     path.write_text(f"[{2**53}, 1]")
     proc = run_cli("compute", "--input", str(path), "--format", "json", "--output", "text")
     assert proc.returncode == 0, proc.stderr
-    assert "agreement: yes" in proc.stdout and "  geometric: 1 " in proc.stdout
+    assert "agreement: yes" in proc.stdout and "\n  geometric: 1\n" in proc.stdout
 
 
 def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path):
@@ -815,6 +860,44 @@ def test_cli_bench_repeated_sizes_exits_1():
     proc = run_cli("bench", "--sizes", "100,100", "--methods", "count")
     _assert_input_error(proc)
     assert "distinct" in proc.stderr
+
+
+# Bytes that reach every parser branch: digits, separators, signs, JSON
+# punctuation and literals, non-ASCII digits, and invalid UTF-8.
+_FUZZ_TOKENS = st.sampled_from(
+    [b"0", b"1", b"7", b"12", b"9" * 17, b"\n", b"\r\n", b",", b" ", b"-", b"[", b"]", b".", b"e", b"1e400",
+     b'"', b"true", b"null", b"{}", b"paper_id,citations\n", b"\xd9\xa3", b"\xff", b"\xef\xbb\xbf"]
+)
+# Counts mixed with what a count must not be, laid out as a JSON array or
+# as CSV lines, so that both parsers also succeed.
+_FUZZ_ELEMENTS = st.integers(0, 40).map(lambda c: str(c).encode()) | st.sampled_from(
+    [str(2**53).encode(), str(2**53 + 1).encode(), b"-1", b"1.5", b"true", b"null", b'"4"', b"[]"]
+)
+fuzz_inputs = (
+    st.binary(max_size=64)
+    | st.lists(_FUZZ_TOKENS, max_size=24).map(b"".join)
+    | st.lists(_FUZZ_ELEMENTS, max_size=12).map(lambda cells: b"[" + b",".join(cells) + b"]")
+    | st.lists(_FUZZ_ELEMENTS, max_size=12).map(b"\n".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=fuzz_inputs, fmt=st.sampled_from(["csv", "json"]), command=st.sampled_from(["json", "text", "plot"]))
+def test_cli_fuzz_exits_0_or_1_without_traceback(tmp_path_factory, data, fmt, command):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "input"
+    path.write_bytes(data)
+    if command == "plot":
+        argv = ["plot", "--input", str(path), "--format", fmt, "--output", str(work / "out.svg")]
+    else:
+        argv = ["compute", "--input", str(path), "--format", fmt, "--output", command]
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_io.main(argv)  # an escaping exception fails the test with its traceback
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_report_to_dict_key_order_stable():

@@ -10,6 +10,7 @@ from citemetrics import (
     CitationTooLarge,
     Method,
     NegativeCitation,
+    geometric_h_index,
     h_index_counting,
     h_index_oracle,
     h_index_sort_scan,
@@ -96,13 +97,6 @@ def test_oracle_fixtures():
     assert h_index_oracle(profile([0])).h == 0
 
 
-def test_pivot_is_last_counted_paper():
-    result = h_index_sort_scan(profile(A1))
-    assert result.pivot == 5
-    assert h_index_oracle(profile([])).pivot is None
-    assert h_index_counting(profile([0, 0])).pivot is None
-
-
 # ---------------------------------------------------------------------------
 # invariants and properties
 
@@ -162,13 +156,10 @@ def test_definition_soundness(values):
 
 @settings(max_examples=30)
 @given(citation_lists)
-def test_pivot_within_bounds(values):
+def test_every_method_within_bounds(values):
     p = normalize_profile(values)
-    for result in (h_index_sort_scan(p), h_index_counting(p), h_index_oracle(p)):
-        if result.h == 0:
-            assert result.pivot is None
-        else:
-            assert 1 <= result.pivot <= p.n
+    for result in (h_index_sort_scan(p), h_index_counting(p), h_index_oracle(p), geometric_h_index(p)[0]):
+        assert 0 <= result.h <= p.n
 
 
 def test_large_counts_are_handled():

@@ -143,7 +143,7 @@ def test_vertical_distance_matches_euclidean(values):
 def test_classify_integer_intersection():
     trace = classify_profile(profile(A5))
     assert trace.case is GeometricCase.INTEGER_INTERSECTION
-    assert (trace.intersection.x, trace.intersection.y) == (6.0, 6.0)
+    assert trace.crossing == 6
     assert trace.postulate == "i.a"
     assert trace.distances is None and trace.argmin_index is None
 
@@ -151,7 +151,7 @@ def test_classify_integer_intersection():
 def test_classify_fractional_intersection():
     trace = classify_profile(profile(A3))
     assert trace.case is GeometricCase.FRACTIONAL_INTERSECTION
-    assert (trace.intersection.x, trace.intersection.y) == (2.5, 2.5)
+    assert trace.crossing == Fraction(5, 2)
     assert trace.postulate == "ii.a"
 
 
@@ -160,7 +160,7 @@ def test_classify_entirely_above_and_below():
     assert above.case is GeometricCase.ENTIRELY_ABOVE
     below = classify_profile(profile([0, 0, 0]))
     assert below.case is GeometricCase.ENTIRELY_BELOW
-    assert above.intersection is None and below.intersection is None
+    assert above.crossing is None and below.crossing is None
 
 
 def test_classify_curvilinear_profiles_report_distances():
@@ -172,9 +172,10 @@ def test_classify_curvilinear_profiles_report_distances():
         trace = classify_profile(profile(values))
         assert trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE
         assert trace.distances == expected_distances
+        assert all(type(d) is int for d in trace.distances)
         assert trace.argmin_index == expected_argmin
         assert trace.postulate == "iii.b"
-        assert trace.intersection is None
+        assert trace.crossing is None
 
 
 def test_classify_empty():
@@ -185,7 +186,7 @@ def test_classify_empty():
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=200))
 def test_trace_shape_invariants(values):
     trace = classify_profile(normalize_profile(values))
-    has_intersection = trace.intersection is not None
+    has_intersection = trace.crossing is not None
     assert has_intersection == (
         trace.case in (GeometricCase.INTEGER_INTERSECTION, GeometricCase.FRACTIONAL_INTERSECTION)
     )
@@ -195,7 +196,7 @@ def test_trace_shape_invariants(values):
     if has_distances:
         minimum = min(trace.distances)
         assert trace.distances[trace.argmin_index - 1] == minimum
-        assert all(d >= 0 for d in trace.distances)
+        assert all(type(d) is int and d >= 0 for d in trace.distances)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def test_geometric_floors_the_exact_crossing():
         p = profile([top, 1])
         result, trace = geometric_h_index(p)
         assert trace.case is GeometricCase.FRACTIONAL_INTERSECTION
-        assert trace.intersection.x == 2.0 and trace.crossing < 2
+        assert 1 + (top - 1) / top == 2.0 and trace.crossing < 2
         assert result.h == 1 == h_index_oracle(p).h
 
 
@@ -277,7 +278,7 @@ def test_postulate_labels_never_hit_impossible_branches(values):
 def test_fractional_floor_semantics(values):
     result, trace = geometric_h_index(normalize_profile(values))
     if trace.case is GeometricCase.FRACTIONAL_INTERSECTION:
-        x_star = trace.intersection.x
+        x_star = trace.crossing
         assert math.floor(x_star) <= x_star < math.floor(x_star) + 1
         assert result.h == math.floor(x_star)
         # crossing is strictly between integer ranks
@@ -385,30 +386,28 @@ def test_estimate_always_within_bounds(values):
 
 
 def _reference_trace(sd):
-    """(case, postulate, intersection x, exact crossing, distances, argmin) by full scans."""
+    """(case, postulate, exact crossing, distances, argmin) by full scans."""
     n = len(sd)
     gaps = [c - rank for rank, c in enumerate(sd, start=1)]
     if 0 in gaps:
         touch = gaps.index(0) + 1
-        return GeometricCase.INTEGER_INTERSECTION, "i.a", float(touch), touch, None, None
+        return GeometricCase.INTEGER_INTERSECTION, "i.a", touch, None, None
     if all(g > 0 for g in gaps):
-        return GeometricCase.ENTIRELY_ABOVE, "n/a", None, None, None, None
+        return GeometricCase.ENTIRELY_ABOVE, "n/a", None, None, None
     if all(g < 0 for g in gaps):
-        return GeometricCase.ENTIRELY_BELOW, "n/a", None, None, None, None
+        return GeometricCase.ENTIRELY_BELOW, "n/a", None, None, None
     if len({b - a for a, b in zip(sd, sd[1:])}) == 1:
-        k = max(rank for rank in range(1, n + 1) if gaps[rank - 1] > 0)
-        step = sd[k] - sd[k - 1]
-        x_star = k + (sd[k - 1] - k) / (1 - step)  # interpolated between ranks k and k+1
+        step = sd[1] - sd[0]
         # the line y = sd[0] + step * (x - 1) meets y = x here
         crossing = Fraction(sd[0] - step, 1 - step)
-        return GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", x_star, crossing, None, None
-    distances = tuple(float(abs(g)) for g in gaps)
+        return GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", crossing, None, None
+    distances = tuple(abs(g) for g in gaps)
     at_minimum = [rank for rank in range(1, n + 1) if distances[rank - 1] == min(distances)]
     # a tie goes to the rank whose point is above the identity line
     above = [rank for rank in at_minimum if gaps[rank - 1] > 0]
     argmin = (above or at_minimum)[0]
     label = "iii.c" if gaps[argmin - 1] > 0 else "iii.b"
-    return GeometricCase.NO_CROSSING_MIN_DISTANCE, label, None, None, distances, argmin
+    return GeometricCase.NO_CROSSING_MIN_DISTANCE, label, None, distances, argmin
 
 
 def _reference_fit(sd):
@@ -430,11 +429,10 @@ def _reference_fit(sd):
 def _check_against_references(values):
     p = normalize_profile(values)
     trace = classify_profile(p)
-    x = trace.intersection.x if trace.intersection is not None else None
-    got = (trace.case, trace.postulate, x, trace.crossing, trace.distances, trace.argmin_index)
+    got = (trace.case, trace.postulate, trace.crossing, trace.distances, trace.argmin_index)
     assert got == _reference_trace(p.sorted_desc)
-    if trace.intersection is not None:
-        assert trace.intersection.y == x
+    if trace.distances is not None:
+        assert all(type(d) is int for d in trace.distances)
     if p.n >= 2:
         estimate, fit = estimate_h_via_trendline(p)
         got = (fit.slope, fit.intercept, fit.r_squared, estimate, fit.crossing)
