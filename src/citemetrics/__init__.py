@@ -6,25 +6,7 @@ cross-validated against each other, with CSV/JSON ingestion, report and
 SVG emission, and a scaling benchmark harness.
 """
 
-from .cli_io import (
-    BenchmarkRow,
-    DuplicatePaperId,
-    InvalidSize,
-    MetricsReport,
-    ParseError,
-    UnknownMethod,
-    build_report,
-    emit_citations_json,
-    emit_plot_svg,
-    emit_report,
-    format_benchmark_report,
-    generate_citations,
-    main,
-    parse_citations,
-    report_to_dict,
-    run_benchmark,
-    scaling_exponents,
-)
+from .cli_io import MetricsReport, build_report, emit_report, main, report_to_dict
 from .core import (
     CitationProfile,
     CitationTooLarge,
@@ -37,13 +19,11 @@ from .core import (
     normalize_profile,
 )
 from .geometry import (
-    CoincidentLines,
     DegenerateFit,
     EmptyProfile,
     GeometricCase,
     GeometricTrace,
     LineFit,
-    ParallelLines,
     Point2,
     classify_profile,
     estimate_h_via_trendline,
@@ -53,6 +33,17 @@ from .geometry import (
     trendline_applicable,
     vertical_distances,
 )
+from .parse import DuplicatePaperId, ParseError, emit_citations_json, parse_citations
+from .plot import emit_plot_svg
+from .scaling import (
+    BenchmarkRow,
+    InvalidSize,
+    UnknownMethod,
+    format_benchmark_report,
+    generate_citations,
+    run_benchmark,
+    scaling_exponents,
+)
 
 __version__ = "0.1.0"
 
@@ -60,7 +51,6 @@ __all__ = [
     "BenchmarkRow",
     "CitationProfile",
     "CitationTooLarge",
-    "CoincidentLines",
     "DegenerateFit",
     "DuplicatePaperId",
     "EmptyProfile",
@@ -72,7 +62,6 @@ __all__ = [
     "Method",
     "MetricsReport",
     "NegativeCitation",
-    "ParallelLines",
     "ParseError",
     "Point2",
     "UnknownMethod",

@@ -55,14 +55,6 @@ class DegenerateFit(ValueError):
     """A line cannot be fitted through fewer than two papers."""
 
 
-class ParallelLines(ValueError):
-    """Slope 1 with nonzero intercept never meets the identity line."""
-
-
-class CoincidentLines(ValueError):
-    """Slope 1 with zero intercept is the identity line itself."""
-
-
 @dataclass(frozen=True)
 class Point2:
     x: float
@@ -71,16 +63,15 @@ class Point2:
 
 @dataclass(frozen=True)
 class LineFit:
-    """Least-squares line y = slope * x + intercept with its fit quality.
-
-    ``crossing`` is the exact abscissa where the line meets y = x, present
-    when the line was fitted from a profile.
+    """Least-squares line y = slope * x + intercept with its fit quality
+    and ``crossing``, the exact abscissa where it meets y = x. Only
+    fit_trendline builds one, so the slope is never positive.
     """
 
     slope: float
     intercept: float
     r_squared: float
-    crossing: Fraction | None = None
+    crossing: Fraction
 
     def predict(self, x: float) -> float:
         return self.slope * x + self.intercept
@@ -268,16 +259,9 @@ def fit_trendline(profile: CitationProfile) -> LineFit:
 
 
 def intersect_with_identity(fit: LineFit) -> Point2:
-    """Where y = slope * x + intercept meets y = x.
-
-    Raises CoincidentLines when the fit is the identity line itself and
-    ParallelLines when it runs parallel to it.
-    """
-    if fit.slope == 1.0:
-        if fit.intercept == 0.0:
-            raise CoincidentLines("fit coincides with the identity line")
-        raise ParallelLines("fit is parallel to the identity line")
-    x = fit.intercept / (1.0 - fit.slope)
+    """Where y = slope * x + intercept meets y = x: the exact crossing,
+    rounded once to a float."""
+    x = float(fit.crossing)
     return Point2(x, x)
 
 

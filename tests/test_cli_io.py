@@ -41,7 +41,8 @@ from citemetrics import (
     scaling_exponents,
 )
 from citemetrics import cli_io, geometry
-from citemetrics.cli_io import _MARGIN_LEFT, _MARGIN_RIGHT, SVG_WIDTH, format_benchmark_report, plot_scales
+from citemetrics.plot import _MARGIN_LEFT, _MARGIN_RIGHT, SVG_WIDTH, _to_px, plot_scales
+from citemetrics.scaling import format_benchmark_report
 from conftest import A1, A1_CSV, A2, A3, A4, A5, profile
 from test_geometry import _reference_fit
 
@@ -515,8 +516,6 @@ def test_svg_single_point_marker():
     svg = emit_plot_svg(p, trace).decode()
     match = re.search(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', svg)
     x_max, y_max = plot_scales(p)
-    from citemetrics.cli_io import _to_px
-
     expected = _to_px(1, 1, x_max, y_max)
     assert (float(match.group(1)), float(match.group(2))) == pytest.approx(expected, abs=0.01)
 
@@ -526,8 +525,6 @@ def test_svg_a4_distance_segment():
     _, trace = geometric_h_index(p)
     svg = emit_plot_svg(p, trace).decode()
     assert svg.count("<circle") == 0
-    from citemetrics.cli_io import _to_px
-
     x_max, y_max = plot_scales(p)
     top = _to_px(4, 4, x_max, y_max)
     bottom = _to_px(4, 2, x_max, y_max)
@@ -538,6 +535,22 @@ def test_svg_a4_distance_segment():
         svg,
     )
     assert segment is not None
+
+
+def test_svg_marks_no_crossing_beyond_the_identity_line(tmp_path):
+    # flat fits pass the gate (r^2 = 1, no drop) and meet y = x at the count,
+    # past x_max = n: a marker there sat at cx 1928.67 and 1462.00 of 640 px
+    path, out = tmp_path / "flat.csv", tmp_path / "flat.svg"
+    for body in (b"10\n10\n10\n", b"5\n5\n"):
+        path.write_bytes(body)
+        assert cli_io.main(["plot", "--input", str(path), "--output", str(out)]) == 0
+        svg = out.read_text()
+        assert 'stroke="olive"' in svg and "<circle" not in svg
+    # a crossing exactly at the reach, the frame's corner, keeps its marker
+    p = profile([3, 3, 3])
+    _, fit = estimate_h_via_trendline(p)
+    svg = emit_plot_svg(p, geometric_h_index(p)[1], fit).decode()
+    assert f'<circle cx="{SVG_WIDTH - _MARGIN_RIGHT:.2f}" cy="18.00"' in svg
 
 
 def _axis_labels(svg: str) -> tuple[str, str]:
@@ -592,7 +605,7 @@ def _assert_polyline_matches_reference(values):
     x_max, y_max = plot_scales(p)
     # one _to_px call and one format per vertex, as the polyline was first drawn
     reference = " ".join(
-        "{:.2f},{:.2f}".format(*cli_io._to_px(i, c, x_max, y_max)) for i, c in enumerate(p.sorted_desc, start=1)
+        "{:.2f},{:.2f}".format(*_to_px(i, c, x_max, y_max)) for i, c in enumerate(p.sorted_desc, start=1)
     )
     assert points == reference
     assert len(points.split()) == p.n

@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics import (
-    CoincidentLines,
     DegenerateFit,
     EmptyProfile,
     GeometricCase,
-    LineFit,
-    ParallelLines,
     classify_profile,
     estimate_h_via_trendline,
     fit_trendline,
@@ -84,32 +81,6 @@ def test_fit_minimizes_squared_residuals(values):
     for ds, dc in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
         assert ssr(fit.slope + ds, fit.intercept + dc) >= best
     assert 0.0 <= fit.r_squared <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# intersect_with_identity
-
-
-def test_intersection_examples():
-    assert intersect_with_identity(LineFit(-0.98182, 11.1636, 1.0)).x == pytest.approx(5.633, abs=1e-3)
-    crossing = intersect_with_identity(LineFit(-1.0, 5.0, 1.0))
-    assert (crossing.x, crossing.y) == (2.5, 2.5)
-    assert intersect_with_identity(LineFit(0.0, 7.0, 1.0)).x == 7.0
-
-
-def test_intersection_degenerate_slopes():
-    with pytest.raises(ParallelLines):
-        intersect_with_identity(LineFit(1.0, 5.0, 1.0))
-    with pytest.raises(CoincidentLines):
-        intersect_with_identity(LineFit(1.0, 0.0, 1.0))
-
-
-@given(st.floats(-100, 0.999), st.floats(-1000, 1000))
-def test_intersection_lies_on_both_lines(slope, intercept):
-    crossing = intersect_with_identity(LineFit(slope, intercept, 1.0))
-    tolerance = 1e-9 * max(1.0, abs(crossing.x))
-    assert abs(crossing.y - crossing.x) <= tolerance
-    assert abs((slope * crossing.x + intercept) - crossing.y) <= tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +297,7 @@ def test_estimate_floors_the_exact_crossing():
     # the crossing at 5.999999999999999, whose floor would be 5
     p = profile([12, 11, 11, 11, 8, 6, 3])
     estimate, fit = estimate_h_via_trendline(p)
-    assert intersect_with_identity(fit).x < 6
+    assert fit.intercept / (1 - fit.slope) < 6 and fit.crossing == 6
     assert estimate == 6
 
 
@@ -437,6 +408,8 @@ def _check_against_references(values):
         estimate, fit = estimate_h_via_trendline(p)
         got = (fit.slope, fit.intercept, fit.r_squared, estimate, fit.crossing)
         assert got == _reference_fit(p.sorted_desc)
+        point = intersect_with_identity(fit)
+        assert point.x == point.y == float(fit.crossing)
     return trace
 
 
