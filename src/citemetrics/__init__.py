@@ -6,7 +6,7 @@ cross-validated against each other, with CSV/JSON ingestion, report and
 SVG emission, and a scaling benchmark harness.
 """
 
-from .cli_io import MetricsReport, build_report, emit_report, main, report_to_dict
+from .cli_io import MetricsReport, build_report, emit_report, main
 from .core import (
     CitationProfile,
     CitationTooLarge,
@@ -25,9 +25,8 @@ from .geometry import (
     GeometricTrace,
     LineFit,
     Point2,
-    classify_profile,
+    classify_profile,  # not in __all__: the benchmark's tests import it from here
     estimate_h_via_trendline,
-    fit_trendline,
     geometric_h_index,
     intersect_with_identity,
     trendline_applicable,
@@ -66,12 +65,10 @@ __all__ = [
     "Point2",
     "UnknownMethod",
     "build_report",
-    "classify_profile",
     "emit_citations_json",
     "emit_plot_svg",
     "emit_report",
     "estimate_h_via_trendline",
-    "fit_trendline",
     "format_benchmark_report",
     "generate_citations",
     "geometric_h_index",
@@ -82,7 +79,6 @@ __all__ = [
     "main",
     "normalize_profile",
     "parse_citations",
-    "report_to_dict",
     "run_benchmark",
     "scaling_exponents",
     "trendline_applicable",

@@ -15,7 +15,6 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -56,28 +55,16 @@ class MetricsReport:
     must be true on every real input; a false value is a defect in this
     package and is surfaced loudly (CLI exit code 2), never silently. It is
     stored, not derived from ``results``, so a view that keeps one method's
-    result still carries the verdict over all four. ``trendline`` and
-    ``trendline_estimate`` are present only when the applicability gate
-    passes, and are computed on first access: the JSON report never reads
-    them. ``trace`` is absent for n = 0.
+    result still carries the verdict over all four. The report holds no
+    trendline: the text report fits and gates one from ``profile`` when it
+    renders, and the JSON report never fits one. ``trace`` is absent for
+    n = 0.
     """
 
     profile: CitationProfile = field(repr=False)
     results: tuple[HIndexResult, ...]
     trace: GeometricTrace | None
     agreement: bool
-
-    @cached_property
-    def _fit_and_estimate(self) -> tuple[LineFit | None, int | None]:
-        return _gated_trendline(self.profile)
-
-    @property
-    def trendline(self) -> LineFit | None:
-        return self._fit_and_estimate[0]
-
-    @property
-    def trendline_estimate(self) -> int | None:
-        return self._fit_and_estimate[1]
 
 
 def _gated_trendline(profile: CitationProfile) -> tuple[LineFit | None, int | None]:
@@ -157,12 +144,12 @@ def _report_text(report: MetricsReport) -> str:
         if trace.distances is not None:
             lines.append("distances: " + ", ".join(map(str, trace.distances)))
             lines.append(f"min distance: {min(trace.distances)} at journal {trace.argmin_index}")
-    if report.trendline is not None:
-        fit = report.trendline
+    fit, estimate = _gated_trendline(report.profile)
+    if fit is not None:
         lines.append(
             f"trendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})"
         )
-        lines.append(f"trendline estimate: {report.trendline_estimate}")
+        lines.append(f"trendline estimate: {estimate}")
         # Never negative: the intercept is at least the mean count, the slope at most 0.
         crossing = _fmt6_exact(fit.crossing)
         lines.append(f"trendline intersection: ({crossing}, {crossing})")
@@ -253,8 +240,6 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    if not sizes:
-        raise InvalidSize("no benchmark sizes given")
     methods = []
     for token in (t.strip() for t in args.methods.split(",") if t.strip()):
         if token not in _METHOD_TOKENS:

@@ -65,7 +65,7 @@ class Point2:
 class LineFit:
     """Least-squares line y = slope * x + intercept with its fit quality
     and ``crossing``, the exact abscissa where it meets y = x. Only
-    fit_trendline builds one, so the slope is never positive.
+    estimate_h_via_trendline builds one, so the slope is never positive.
     """
 
     slope: float
@@ -141,99 +141,87 @@ def _is_collinear(sorted_desc: Sequence[int]) -> bool:
     return all(b - a == step for a, b in pairwise(sorted_desc))
 
 
-def classify_profile(profile: CitationProfile) -> GeometricTrace:
-    """Classify how the citation polyline relates to the identity line.
+def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, GeometricTrace | None]:
+    """h-index from the geometric case split, with the trace of the case.
 
     The gap g(rank) = citations[rank] - rank falls strictly, so the ranks
-    with g >= 0 are exactly 1..k, and one bisection finds k:
+    with g >= 0 are exactly 1..k, and one bisection finds k. Each case
+    builds its trace and reads h by its own rule:
 
-    * g(k) = 0 -> INTEGER_INTERSECTION at (k, k) ("i.a");
-    * k = n -> ENTIRELY_ABOVE; k = 0 -> ENTIRELY_BELOW;
+    * g(k) = 0 -> INTEGER_INTERSECTION at (k, k) ("i.a"), h = k;
+    * k = n -> ENTIRELY_ABOVE, h = n; k = 0 -> ENTIRELY_BELOW, h = 0;
     * otherwise the polyline straddles the identity between k and k+1: an
       exactly straight polyline crosses it at a strictly fractional point
-      -> FRACTIONAL_INTERSECTION with the interpolated crossing ("ii.a");
-      a curvilinear polyline is not treated as a line, so the trace
-      reports the vertical-distance table and its argmin instead ->
-      NO_CROSSING_MIN_DISTANCE. |g| falls up to k and rises after it, so
-      the argmin is k ("iii.c") when |g(k)| <= |g(k+1)|, else k+1 ("iii.b");
-      a tie goes to k, the rank above the identity line.
+      -> FRACTIONAL_INTERSECTION with the interpolated crossing ("ii.a"),
+      h = the floor of that exact crossing (a float crossing can round up
+      to the next rank); a curvilinear polyline is not treated as a line,
+      so the trace reports the vertical-distance table and its argmin
+      instead -> NO_CROSSING_MIN_DISTANCE. |g| falls up to k and rises
+      after it, so the argmin is k ("iii.c") when |g(k)| <= |g(k+1)|, else
+      k+1 ("iii.b"); a tie goes to k, the rank above the identity line.
+      h = the argmin, minus one when its count lies below the identity.
+
+    An empty profile yields h = 0 with no trace. Agrees with the
+    definition oracle on every input (the test suite enforces this across
+    the board).
     """
     if profile.n == 0:
-        raise EmptyProfile("cannot classify an empty profile")
+        return HIndexResult(0, Method.GEOMETRIC), None
     sd = profile.sorted_desc
     n = profile.n
     k = bisect_right(range(n), 0, key=lambda i: i + 1 - sd[i])
 
     if k and sd[k - 1] == k:
-        return GeometricTrace(
-            case=GeometricCase.INTEGER_INTERSECTION,
-            postulate="i.a",
-            sorted_desc=sd,
-            crossing=Fraction(k),
-        )
-    if k == n:
-        return GeometricTrace(case=GeometricCase.ENTIRELY_ABOVE, postulate="n/a", sorted_desc=sd)
-    if k == 0:
-        return GeometricTrace(case=GeometricCase.ENTIRELY_BELOW, postulate="n/a", sorted_desc=sd)
-
-    if _is_collinear(sd):
+        h, trace = k, GeometricTrace(GeometricCase.INTEGER_INTERSECTION, "i.a", sd, crossing=Fraction(k))
+    elif k == n:
+        h, trace = n, GeometricTrace(GeometricCase.ENTIRELY_ABOVE, "n/a", sd)
+    elif k == 0:
+        h, trace = 0, GeometricTrace(GeometricCase.ENTIRELY_BELOW, "n/a", sd)
+    elif _is_collinear(sd):
         rise = 1 - (sd[k] - sd[k - 1])  # >= 2: the step is <= -1 on a straddling segment
-        return GeometricTrace(
-            case=GeometricCase.FRACTIONAL_INTERSECTION,
-            postulate="ii.a",
-            sorted_desc=sd,
-            crossing=k + Fraction(sd[k - 1] - k, rise),  # strictly inside (k, k+1)
-        )
-
-    if sd[k - 1] - k <= k + 1 - sd[k]:
-        argmin, label = k, "iii.c"
+        crossing = k + Fraction(sd[k - 1] - k, rise)  # strictly inside (k, k+1)
+        h = math.floor(crossing)
+        trace = GeometricTrace(GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", sd, crossing=crossing)
     else:
-        argmin, label = k + 1, "iii.b"
-    return GeometricTrace(
-        case=GeometricCase.NO_CROSSING_MIN_DISTANCE,
-        postulate=label,
-        sorted_desc=sd,
-        argmin_index=argmin,
-    )
-
-
-def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, GeometricTrace | None]:
-    """h-index from the geometric classification.
-
-    Case to value: integer intersection -> its coordinate; fractional
-    crossing -> floor of the exact crossing abscissa, taken from integers
-    (the float crossing can round up to the next rank); minimum distance -> the
-    argmin rank, minus one when its citation count lies below the
-    identity line; entirely above -> n; entirely below -> 0. An empty
-    profile yields h = 0 with no trace. Agrees with the definition oracle
-    on every input (the test suite enforces this across the board).
-    """
-    if profile.n == 0:
-        return HIndexResult(0, Method.GEOMETRIC), None
-    trace = classify_profile(profile)
-    sd = profile.sorted_desc
-    if trace.crossing is not None:  # an integer or fractional intersection
-        h = math.floor(trace.crossing)
-    elif trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE:
-        argmin = trace.argmin_index
+        if sd[k - 1] - k <= k + 1 - sd[k]:
+            argmin, label = k, "iii.c"
+        else:
+            argmin, label = k + 1, "iii.b"
         h = argmin - 1 if sd[argmin - 1] < argmin else argmin
-    elif trace.case is GeometricCase.ENTIRELY_ABOVE:
-        h = profile.n
-    else:
-        h = 0
+        trace = GeometricTrace(GeometricCase.NO_CROSSING_MIN_DISTANCE, label, sd, argmin_index=argmin)
     return HIndexResult(h, Method.GEOMETRIC), trace
 
 
-def fit_trendline(profile: CitationProfile) -> LineFit:
-    """Least-squares line through (rank, citations at rank), from exact
-    integer sums, with its exact crossing of y = x.
+def classify_profile(profile: CitationProfile) -> GeometricTrace:
+    """The trace of geometric_h_index. Not exported: the benchmark's own
+    tests import it. Raises EmptyProfile for n = 0, which has no trace."""
+    trace = geometric_h_index(profile)[1]
+    if trace is None:
+        raise EmptyProfile("cannot classify an empty profile")
+    return trace
 
-    Ranks are 1..n, so their sums have closed forms. Every float below is
-    one int/int quotient, which Python rounds correctly. r_squared is
-    Sxy^2 / (Sxx * Syy), defined as 1 for a zero-variance y (a horizontal
-    fit through identical values is exact). The slope is never positive,
-    since the counts do not increase. Raises DegenerateFit for fewer than
-    two papers.
+
+def intersect_with_identity(fit: LineFit) -> Point2:
+    """Where y = slope * x + intercept meets y = x: the exact crossing,
+    rounded once to a float."""
+    x = float(fit.crossing)
+    return Point2(x, x)
+
+
+def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
+    """Approximate h as the floor of the trendline's identity crossing,
+    returned with the least-squares line through (rank, citations).
+
+    The fit comes from exact integer sums. Ranks are 1..n, so their sums
+    have closed forms. Every float below is one int/int quotient, which
+    Python rounds correctly. r_squared is Sxy^2 / (Sxx * Syy), defined as
+    1 for a zero-variance y (a horizontal fit through identical values is
+    exact). The counts do not increase, so the slope is never positive and
+    the intercept is at least the mean count: the crossing is never
+    negative. It can pass n (three papers cited 10 times cross at 10), so
+    the estimate is capped at n. Only trustworthy for near-linear
+    profiles; combine with trendline_applicable. Raises DegenerateFit for
+    fewer than two papers.
     """
     n = profile.n
     if n < 2:
@@ -249,32 +237,14 @@ def fit_trendline(profile: CitationProfile) -> LineFit:
     cxy = n * sxy - sx * sy
     cyy = n * syy - sy * sy
     top = sy * sxx - sx * sxy  # intercept * cxx
-    return LineFit(
+    fit = LineFit(
         slope=cxy / cxx,
         intercept=top / cxx,
         r_squared=cxy * cxy / (cxx * cyy) if cyy else 1.0,
         # Non-increasing counts give cxy <= 0, so the divisor is positive.
         crossing=Fraction(top, cxx - cxy),
     )
-
-
-def intersect_with_identity(fit: LineFit) -> Point2:
-    """Where y = slope * x + intercept meets y = x: the exact crossing,
-    rounded once to a float."""
-    x = float(fit.crossing)
-    return Point2(x, x)
-
-
-def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
-    """Approximate h as the floor of the trendline's identity crossing.
-
-    Fits the least-squares line to (rank, citations) and floors the exact
-    abscissa where it meets y = x, clamped into [0, n]. Only trustworthy
-    for near-linear profiles; combine with trendline_applicable. Raises
-    DegenerateFit for profiles of fewer than two papers.
-    """
-    fit = fit_trendline(profile)
-    return min(max(math.floor(fit.crossing), 0), profile.n), fit
+    return min(math.floor(fit.crossing), n), fit
 
 
 # Minimum variance explained for the straight-line story to be credible.

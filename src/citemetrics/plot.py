@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, mul, sub, truediv
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .core import CitationProfile
 from .geometry import EmptyProfile, GeometricCase, GeometricTrace, LineFit
@@ -35,22 +35,14 @@ def plot_scales(profile: CitationProfile) -> tuple[float, float]:
     return x_max, y_max
 
 
-def _to_px(x: float, y: float, x_max: float, y_max: float) -> tuple[float, float]:
-    px = _MARGIN_LEFT + (x / x_max) * _FRAME_WIDTH
-    py = _FRAME_BOTTOM - (y / y_max) * _FRAME_HEIGHT
-    return px, py
-
-
-def _polyline_points(sorted_desc: Sequence[int], x_max: float, y_max: float) -> str:
-    """The points attribute through (rank, count) at ranks 1..n, byte for
-    byte what _to_px and "%.2f" give vertex by vertex: C-level maps that
-    repeat _to_px's float operations in the same order."""
-    ranks = range(1, len(sorted_desc) + 1)
-    xs = map(mul, map(truediv, ranks, repeat(x_max)), repeat(_FRAME_WIDTH))
-    xs = map(add, repeat(_MARGIN_LEFT), xs)
-    ys = map(mul, map(truediv, sorted_desc, repeat(y_max)), repeat(_FRAME_HEIGHT))
-    ys = map(sub, repeat(_FRAME_BOTTOM), ys)
-    return " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
+def _to_px(
+    xs: Iterable[float], ys: Iterable[float], x_max: float, y_max: float
+) -> Iterator[tuple[float, float]]:
+    """Pixel coordinates of the data points (xs[i], ys[i]), as C-level maps:
+    the same code places the n polyline vertices and the single points."""
+    pxs = map(add, repeat(_MARGIN_LEFT), map(mul, map(truediv, xs, repeat(x_max)), repeat(_FRAME_WIDTH)))
+    pys = map(sub, repeat(_FRAME_BOTTOM), map(mul, map(truediv, ys, repeat(y_max)), repeat(_FRAME_HEIGHT)))
+    return zip(pxs, pys)
 
 
 def _svg_line(a: tuple[float, float], b: tuple[float, float], color: str, dash: str = "") -> str:
@@ -79,8 +71,8 @@ def emit_plot_svg(
         raise EmptyProfile("cannot plot an empty profile")
     x_max, y_max = plot_scales(profile)
 
-    def px(x: float, y: float) -> tuple[float, float]:
-        return _to_px(x, y, x_max, y_max)
+    def segment(x1: float, y1: float, x2: float, y2: float, color: str, dash: str = "") -> str:
+        return _svg_line(*_to_px((x1, x2), (y1, y2), x_max, y_max), color, dash)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -93,9 +85,10 @@ def emit_plot_svg(
     )
 
     identity_reach = min(x_max, y_max)
-    parts.append(_svg_line(px(0, 0), px(identity_reach, identity_reach), _IDENTITY_COLOR))
+    parts.append(segment(0, 0, identity_reach, identity_reach, _IDENTITY_COLOR))
 
-    poly = _polyline_points(profile.sorted_desc, x_max, y_max)
+    ranks = range(1, profile.n + 1)
+    poly = " ".join(map("%.2f,%.2f".__mod__, _to_px(ranks, profile.sorted_desc, x_max, y_max)))
     parts.append(
         f'<polyline fill="none" stroke="{_CITATIONS_COLOR}" stroke-width="2" points="{poly}"/>'
     )
@@ -103,16 +96,16 @@ def emit_plot_svg(
     if fit is not None:
         lo, hi = _visible_span(fit, x_max, y_max)
         if lo < hi:
-            parts.append(_svg_line(px(lo, fit.predict(lo)), px(hi, fit.predict(hi)), _TRENDLINE_COLOR))
+            parts.append(segment(lo, fit.predict(lo), hi, fit.predict(hi), _TRENDLINE_COLOR))
 
     marker = fit.crossing if fit is not None else trace.crossing
     if marker is None:
         if trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE:
             j = trace.argmin_index
             cited = profile.sorted_desc[j - 1]
-            parts.append(_svg_line(px(j, j), px(j, cited), _DISTANCE_COLOR, dash="4 3"))
+            parts.append(segment(j, j, j, cited, _DISTANCE_COLOR, dash="4 3"))
     elif marker <= identity_reach:
-        mx, my = px(float(marker), float(marker))
+        ((mx, my),) = _to_px((float(marker),), (float(marker),), x_max, y_max)
         parts.append(f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="4" fill="{_MARKER_COLOR}"/>')
 
     label_y = SVG_HEIGHT - 14

@@ -54,15 +54,18 @@ def run_benchmark(
 ) -> list[BenchmarkRow]:
     """Median wall-clock runtimes per (size, method).
 
-    One warmup call per pair is discarded; timings run sequentially to
-    avoid cross-contamination. Input generation is deterministic in
-    (seed, size); the timings themselves naturally are not.
+    Every argument is checked before any input is generated or timed. One
+    warmup call per pair is discarded; timings run sequentially to avoid
+    cross-contamination. Input generation is deterministic in (seed, size);
+    the timings themselves naturally are not.
     """
     if runs < 5:
         raise InvalidSize(f"at least 5 timing runs required, got {runs}")
-    if len(set(sizes)) != len(sizes):
-        raise InvalidSize(f"benchmark sizes must be distinct, got {list(sizes)}")
+    if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
+        raise InvalidSize(f"benchmark sizes must be one or more distinct integers >= 1, got {list(sizes)}")
     method_list = list(methods)
+    if not method_list:
+        raise UnknownMethod("no benchmark methods given")
     for method in method_list:
         if not isinstance(method, Method):
             raise UnknownMethod(f"unknown method: {method!r}")

@@ -36,12 +36,20 @@ from citemetrics import (
     geometric_h_index,
     normalize_profile,
     parse_citations,
-    report_to_dict,
     run_benchmark,
     scaling_exponents,
 )
-from citemetrics import cli_io, geometry
-from citemetrics.plot import _MARGIN_LEFT, _MARGIN_RIGHT, SVG_WIDTH, _to_px, plot_scales
+from citemetrics import cli_io, geometry, scaling
+from citemetrics.cli_io import report_to_dict
+from citemetrics.plot import (
+    _FRAME_BOTTOM,
+    _FRAME_HEIGHT,
+    _FRAME_WIDTH,
+    _MARGIN_LEFT,
+    _MARGIN_RIGHT,
+    SVG_WIDTH,
+    plot_scales,
+)
 from citemetrics.scaling import format_benchmark_report
 from conftest import A1, A1_CSV, A2, A3, A4, A5, profile
 from test_geometry import _reference_fit
@@ -358,11 +366,10 @@ def test_report_text_empty_profile():
 
 
 def test_report_trendline_presence_follows_gate():
-    assert build_report(profile(A1)).trendline is not None
-    assert build_report(profile(A3)).trendline is not None
-    for values in (A2, A4, A5):
-        report = build_report(profile(values))
-        assert report.trendline is None and report.trendline_estimate is None
+    for values, gate in ((A1, True), (A3, True), (A2, False), (A4, False), (A5, False)):
+        text = emit_report(build_report(profile(values)), "text").decode()
+        for line in ("\ntrendline: ", "\ntrendline estimate: ", "\ntrendline intersection: "):
+            assert (line in text) is gate
 
 
 # One profile per geometric case (touch, fractional, minimum distance,
@@ -394,9 +401,12 @@ def test_json_report_never_fits_the_trendline(monkeypatch):
         return estimate_h_via_trendline(p)
 
     monkeypatch.setattr(cli_io, "estimate_h_via_trendline", counted)
-    assert report.trendline == estimate_h_via_trendline(profile(A1))[1]
-    assert report.trendline_estimate == 5
-    assert report.trendline is report.trendline and len(calls) == 1  # fitted once
+    fit = estimate_h_via_trendline(profile(A1))[1]
+    for renders in (1, 2):  # each text render fits exactly once
+        text = emit_report(report, "text").decode()
+        assert len(calls) == renders
+        assert f"\ntrendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})\n" in text
+        assert "\ntrendline estimate: 5\n" in text
 
 
 def test_text_report_trendline_intersection_is_the_exact_floor():
@@ -492,6 +502,11 @@ def test_report_agreement_on_random_inputs(values):
 # SVG plots
 
 
+def _px_reference(x, y, x_max, y_max):
+    # the data-to-pixel transform written out for one point
+    return _MARGIN_LEFT + (x / x_max) * _FRAME_WIDTH, _FRAME_BOTTOM - (y / y_max) * _FRAME_HEIGHT
+
+
 def _data_x_of(px_value: float, p) -> float:
     x_max, _ = plot_scales(p)
     return (px_value - _MARGIN_LEFT) / (SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT) * x_max
@@ -516,7 +531,7 @@ def test_svg_single_point_marker():
     svg = emit_plot_svg(p, trace).decode()
     match = re.search(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', svg)
     x_max, y_max = plot_scales(p)
-    expected = _to_px(1, 1, x_max, y_max)
+    expected = _px_reference(1, 1, x_max, y_max)
     assert (float(match.group(1)), float(match.group(2))) == pytest.approx(expected, abs=0.01)
 
 
@@ -526,8 +541,8 @@ def test_svg_a4_distance_segment():
     svg = emit_plot_svg(p, trace).decode()
     assert svg.count("<circle") == 0
     x_max, y_max = plot_scales(p)
-    top = _to_px(4, 4, x_max, y_max)
-    bottom = _to_px(4, 2, x_max, y_max)
+    top = _px_reference(4, 4, x_max, y_max)
+    bottom = _px_reference(4, 2, x_max, y_max)
     segment = re.search(
         r'<line x1="{0:.2f}" y1="{1:.2f}" x2="{2:.2f}" y2="{3:.2f}" stroke="red"'.format(
             top[0], top[1], bottom[0], bottom[1]
@@ -603,9 +618,9 @@ def _assert_polyline_matches_reference(values):
     _, trace = geometric_h_index(p)
     points = re.search(r'<polyline [^>]*points="([^"]*)"', emit_plot_svg(p, trace).decode()).group(1)
     x_max, y_max = plot_scales(p)
-    # one _to_px call and one format per vertex, as the polyline was first drawn
+    # one transform and one format per vertex, as the polyline was first drawn
     reference = " ".join(
-        "{:.2f},{:.2f}".format(*_to_px(i, c, x_max, y_max)) for i, c in enumerate(p.sorted_desc, start=1)
+        "{:.2f},{:.2f}".format(*_px_reference(i, c, x_max, y_max)) for i, c in enumerate(p.sorted_desc, start=1)
     )
     assert points == reference
     assert len(points.split()) == p.n
@@ -663,6 +678,27 @@ def test_run_benchmark_validates_inputs():
         run_benchmark([100], [Method.COUNTING], seed=1, runs=2)
     with pytest.raises(InvalidSize):
         run_benchmark([0], [Method.COUNTING], seed=1)
+
+
+def test_run_benchmark_checks_every_argument_before_generating_input(monkeypatch):
+    generated = []
+
+    def recorded(size, seed):
+        generated.append(size)
+        return [0] * size
+
+    monkeypatch.setattr(scaling, "generate_citations", recorded)
+    for sizes, methods, runs, error in (
+        ([], [Method.COUNTING], 5, InvalidSize),
+        ([1000, 0], [Method.COUNTING], 5, InvalidSize),
+        ([1000, 2000, 1000], [Method.COUNTING], 5, InvalidSize),
+        ([1000], [Method.COUNTING], 4, InvalidSize),
+        ([1000], [], 5, UnknownMethod),
+        ([1000], [Method.COUNTING, "quantum"], 5, UnknownMethod),
+    ):
+        with pytest.raises(error):
+            run_benchmark(sizes, methods, seed=1, runs=runs)
+    assert generated == []
 
 
 def test_scaling_exponents_shape():
@@ -867,6 +903,13 @@ def test_cli_deeply_nested_json_exits_1(tmp_path):
 
 def test_cli_bench_too_few_runs_exits_1():
     _assert_input_error(run_cli("bench", "--sizes", "100,200", "--methods", "count", "--runs", "2"))
+
+
+def test_cli_bench_empty_method_list_exits_1():
+    # used to time nothing, print the table header and exit 0
+    proc = run_cli("bench", "--sizes", "100", "--methods", ",")
+    _assert_input_error(proc)
+    assert "no benchmark methods" in proc.stderr
 
 
 def test_cli_bench_repeated_sizes_exits_1():

@@ -13,9 +13,7 @@ from citemetrics import (
     DegenerateFit,
     EmptyProfile,
     GeometricCase,
-    classify_profile,
     estimate_h_via_trendline,
-    fit_trendline,
     geometric_h_index,
     h_index_oracle,
     intersect_with_identity,
@@ -23,6 +21,7 @@ from citemetrics import (
     trendline_applicable,
     vertical_distances,
 )
+from citemetrics.geometry import classify_profile
 from conftest import A1, A2, A3, A4, A5, profile, random_profiles
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
@@ -39,23 +38,23 @@ A4_R2 = 418609 / 433015  # ~0.96673, above the gate; the drop clause rejects a4
 
 
 # ---------------------------------------------------------------------------
-# fit_trendline
+# the trendline fit, as estimate_h_via_trendline returns it
 
 
 def test_fit_frozen_a1_line():
-    fit = fit_trendline(profile(A1))
+    fit = estimate_h_via_trendline(profile(A1))[1]
     assert fit.slope == pytest.approx(A1_SLOPE, abs=1e-12)
     assert fit.intercept == pytest.approx(A1_INTERCEPT, abs=1e-12)
     assert fit.r_squared == pytest.approx(A1_R2, abs=1e-12)
 
 
 def test_fit_exact_straight_profile():
-    fit = fit_trendline(profile([9, 7, 5, 3, 1]))
+    fit = estimate_h_via_trendline(profile([9, 7, 5, 3, 1]))[1]
     assert (fit.slope, fit.intercept, fit.r_squared) == (-2.0, 11.0, 1.0)
 
 
 def test_fit_horizontal_line():
-    fit = fit_trendline(profile([2, 2, 2]))
+    fit = estimate_h_via_trendline(profile([2, 2, 2]))[1]
     assert fit.slope == 0.0
     assert fit.intercept == 2.0
     assert fit.r_squared == 1.0  # zero variance defined as a perfect fit
@@ -63,16 +62,16 @@ def test_fit_horizontal_line():
 
 def test_fit_degenerate_inputs():
     with pytest.raises(DegenerateFit):
-        fit_trendline(profile([1]))
+        estimate_h_via_trendline(profile([1]))
     with pytest.raises(DegenerateFit):
-        fit_trendline(profile([]))
+        estimate_h_via_trendline(profile([]))
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(min_value=0, max_value=10**4), min_size=2, max_size=50))
 def test_fit_minimizes_squared_residuals(values):
     p = normalize_profile(values)
-    fit = fit_trendline(p)
+    fit = estimate_h_via_trendline(p)[1]
 
     def ssr(slope, intercept):
         return math.fsum((y - (slope * x + intercept)) ** 2 for x, y in enumerate(p.sorted_desc, start=1))
@@ -108,11 +107,11 @@ def test_vertical_distance_matches_euclidean(values):
 
 
 # ---------------------------------------------------------------------------
-# classify_profile
+# the geometric trace, as geometric_h_index returns it
 
 
 def test_classify_integer_intersection():
-    trace = classify_profile(profile(A5))
+    trace = geometric_h_index(profile(A5))[1]
     assert trace.case is GeometricCase.INTEGER_INTERSECTION
     assert trace.crossing == 6
     assert trace.postulate == "i.a"
@@ -120,16 +119,16 @@ def test_classify_integer_intersection():
 
 
 def test_classify_fractional_intersection():
-    trace = classify_profile(profile(A3))
+    trace = geometric_h_index(profile(A3))[1]
     assert trace.case is GeometricCase.FRACTIONAL_INTERSECTION
     assert trace.crossing == Fraction(5, 2)
     assert trace.postulate == "ii.a"
 
 
 def test_classify_entirely_above_and_below():
-    above = classify_profile(profile([5, 5]))
+    above = geometric_h_index(profile([5, 5]))[1]
     assert above.case is GeometricCase.ENTIRELY_ABOVE
-    below = classify_profile(profile([0, 0, 0]))
+    below = geometric_h_index(profile([0, 0, 0]))[1]
     assert below.case is GeometricCase.ENTIRELY_BELOW
     assert above.crossing is None and below.crossing is None
 
@@ -140,7 +139,7 @@ def test_classify_curvilinear_profiles_report_distances():
         (A4, (399, 298, 197, 2), 4),
         (A1, (9, 7, 5, 4, 2, 1, 3, 5, 7, 9, 10), 6),
     ):
-        trace = classify_profile(profile(values))
+        trace = geometric_h_index(profile(values))[1]
         assert trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE
         assert trace.distances == expected_distances
         assert all(type(d) is int for d in trace.distances)
@@ -156,7 +155,7 @@ def test_classify_empty():
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=200))
 def test_trace_shape_invariants(values):
-    trace = classify_profile(normalize_profile(values))
+    trace = geometric_h_index(normalize_profile(values))[1]
     has_intersection = trace.crossing is not None
     assert has_intersection == (
         trace.case in (GeometricCase.INTEGER_INTERSECTION, GeometricCase.FRACTIONAL_INTERSECTION)
@@ -241,7 +240,7 @@ def test_postulate_labels_never_hit_impossible_branches(values):
     # with citations non-increasing and ranks increasing, an integer
     # intersection with unequal coordinates (i.b / i.c) cannot occur,
     # and a crossing of y = x always has equal coordinates (no ii.b)
-    trace = classify_profile(normalize_profile(values))
+    trace = geometric_h_index(normalize_profile(values))[1]
     assert trace.postulate in {"i.a", "ii.a", "iii.b", "iii.c", "n/a"}
 
 
@@ -399,7 +398,7 @@ def _reference_fit(sd):
 
 def _check_against_references(values):
     p = normalize_profile(values)
-    trace = classify_profile(p)
+    trace = geometric_h_index(p)[1]
     got = (trace.case, trace.postulate, trace.crossing, trace.distances, trace.argmin_index)
     assert got == _reference_trace(p.sorted_desc)
     if trace.distances is not None:
