@@ -100,6 +100,29 @@ def _headline_h(report: MetricsReport) -> int:
     return report.results[0].h
 
 
+# Ranks shown on each side of the minimum-distance argmin.
+_WINDOW_RADIUS = 5
+
+
+def _distance_window(report: MetricsReport) -> dict | None:
+    """{"first_rank": lo, "gaps": [...]}: the gaps |citations - rank| at the
+    ranks within _WINDOW_RADIUS of the argmin, clipped to 1..n; None unless
+    the minimum-distance case fired.
+
+    The argmin is k or k + 1, where citations - rank changes sign, so the
+    window holds both straddle ranks and shows |g| falling to the argmin
+    and rising after it. Read from ``sorted_desc``: no report builds the
+    n-entry table, which ``vertical_distances(profile)`` returns.
+    """
+    trace = report.trace
+    if trace is None or trace.argmin_index is None:
+        return None
+    sd = report.profile.sorted_desc
+    lo = max(1, trace.argmin_index - _WINDOW_RADIUS)
+    hi = min(len(sd), trace.argmin_index + _WINDOW_RADIUS)
+    return {"first_rank": lo, "gaps": [abs(c - rank) for rank, c in zip(range(lo, hi + 1), sd[lo - 1 : hi])]}
+
+
 def report_to_dict(report: MetricsReport) -> dict:
     """Report as a plain dict with the fixed JSON key order."""
     trace = report.trace
@@ -111,7 +134,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "case": trace.case.value if trace is not None else None,
         "postulate": trace.postulate if trace is not None else None,
         "intersection": [float(crossing)] * 2 if crossing is not None else None,
-        "distances": list(trace.distances) if trace is not None and trace.distances else None,
+        "distances": _distance_window(report),
         "agreement": report.agreement,
     }
 
@@ -141,9 +164,12 @@ def _report_text(report: MetricsReport) -> str:
         if trace.crossing is not None:
             crossing = _fmt6_exact(trace.crossing)
             lines.append(f"intersection: ({crossing}, {crossing})")
-        if trace.distances is not None:
-            lines.append("distances: " + ", ".join(map(str, trace.distances)))
-            lines.append(f"min distance: {min(trace.distances)} at journal {trace.argmin_index}")
+        window = _distance_window(report)
+        if window is not None:
+            lo, gaps = window["first_rank"], window["gaps"]
+            argmin = trace.argmin_index
+            lines.append(f"distances: ranks {lo}-{lo + len(gaps) - 1}: " + ", ".join(map(str, gaps)))
+            lines.append(f"min distance: {gaps[argmin - lo]} at journal {argmin}")
     fit, estimate = _gated_trendline(report.profile)
     if fit is not None:
         lines.append(
@@ -159,16 +185,7 @@ def _report_text(report: MetricsReport) -> str:
 def emit_report(report: MetricsReport, fmt: str) -> bytes:
     """Serialize a report as "json" or "text"; deterministic output."""
     if fmt == "json":
-        payload = report_to_dict(report)
-        table = payload["distances"]
-        if table is None:
-            return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-        # indent=2 runs json's pure-Python encoder on every element, so the
-        # table is laid out here as json would: one integer per line.
-        payload["distances"] = None
-        rows = "[\n    " + ",\n    ".join(map(str, table)) + "\n  ]"
-        text = json.dumps(payload, indent=2).replace('"distances": null', '"distances": ' + rows, 1)
-        return (text + "\n").encode("utf-8")
+        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
     if fmt == "text":
         return _report_text(report).encode("utf-8")
     raise ValueError(f"unknown report format: {fmt!r}")
@@ -194,6 +211,18 @@ def _read_profile(args) -> CitationProfile:
     return normalize_profile(parse_citations(data, args.format))
 
 
+def _replay_line(report: MetricsReport) -> str:
+    """n, every method's h and the sha256 of the counts written in
+    descending order, one per line, each newline-terminated: for a
+    one-column CSV that is the digest of `sort -rn counts.csv`."""
+    import hashlib  # loads OpenSSL, a few MiB of RSS that only this path needs
+
+    sd = report.profile.sorted_desc
+    digest = hashlib.sha256("".join(f"{c}\n" for c in sd).encode("ascii")).hexdigest()
+    methods = " ".join(f"{r.method.value}={r.h}" for r in report.results)
+    return f"disagreement: n={len(sd)} {methods} sha256={digest}"
+
+
 def _cmd_compute(args) -> int:
     profile = _read_profile(args)
     report = build_report(profile)
@@ -205,6 +234,7 @@ def _cmd_compute(args) -> int:
     sys.stdout.buffer.flush()
     if not report.agreement:
         print("error: h-index methods disagree; this is a bug in citemetrics", file=sys.stderr)
+        print(_replay_line(report), file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
 

@@ -100,11 +100,13 @@ class GeometricTrace:
 
     ``crossing``, the exact abscissa of the intersection (x, x) with y = x,
     is present exactly for the two intersection cases; ``distances`` (the
-    integer gaps |citations - rank|) and ``argmin_index`` exactly for the
-    minimum-distance case, with argmin_index (1-based) pointing at a true
-    minimum. The distance table is computed from ``sorted_desc`` on the
-    first read of ``distances``, so a caller that never shows it (the
-    plot) never builds it.
+    integer gaps |citations - rank| at every rank) and ``argmin_index``
+    exactly for the minimum-distance case, with argmin_index (1-based)
+    pointing at a true minimum. The n-entry table is computed from
+    ``sorted_desc`` on the first read of ``distances``, for library
+    callers only: the reports show a window of gaps around argmin_index
+    read from the profile, and the plot draws one segment, so no command
+    builds it.
     """
 
     case: GeometricCase

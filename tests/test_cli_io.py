@@ -1,6 +1,7 @@
 """Parsing, report emission, SVG plots, benchmarks, and the CLI."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from citemetrics import (
     BenchmarkRow,
     DuplicatePaperId,
     EmptyProfile,
+    GeometricCase,
     HIndexResult,
     InvalidSize,
     Method,
@@ -38,6 +41,7 @@ from citemetrics import (
     parse_citations,
     run_benchmark,
     scaling_exponents,
+    vertical_distances,
 )
 from citemetrics import cli_io, geometry, scaling
 from citemetrics.cli_io import report_to_dict
@@ -51,8 +55,8 @@ from citemetrics.plot import (
     plot_scales,
 )
 from citemetrics.scaling import format_benchmark_report
-from conftest import A1, A1_CSV, A2, A3, A4, A5, profile
-from test_geometry import _reference_fit
+from conftest import A1, A1_CSV, A2, A3, A4, A5, FIXTURES, profile
+from test_geometry import _mixed_profiles, _reference_fit, arithmetic_progressions
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
 
@@ -323,7 +327,8 @@ def test_report_json_a1():
     assert payload["case"] == "no_crossing_min_distance"
     assert payload["postulate"] == "iii.b"
     assert payload["intersection"] is None
-    assert payload["distances"] == [9, 7, 5, 4, 2, 1, 3, 5, 7, 9, 10]
+    # n = 11 and the argmin is 6, so the window is the whole table
+    assert payload["distances"] == {"first_rank": 1, "gaps": [9, 7, 5, 4, 2, 1, 3, 5, 7, 9, 10]}
     assert payload["agreement"] is True
 
 
@@ -477,6 +482,16 @@ def test_report_deterministic():
     assert emit_report(report, "text") == emit_report(report, "text")
 
 
+def test_cli_disagreement_prints_a_replay_line(monkeypatch, a1_csv, capsysbinary):
+    counting = cli_io.h_index_counting
+    monkeypatch.setattr(cli_io, "h_index_counting", lambda p: HIndexResult(counting(p).h + 1, Method.COUNTING))
+    assert cli_io.main(["compute", "--input", str(a1_csv), "--method", "oracle"]) == 2
+    err = capsysbinary.readouterr().err.decode()
+    digest = hashlib.sha256(b"".join(b"%d\n" % c for c in sorted(A1, reverse=True))).hexdigest()
+    replay = f"disagreement: n=11 sort_scan=5 counting=6 oracle=5 geometric=5 sha256={digest}\n"
+    assert err.endswith("this is a bug in citemetrics\n" + replay)
+
+
 def test_disagreement_is_surfaced_not_hidden():
     # the agreement flag reflects whatever the results say; a hand-built
     # mismatch (impossible from real inputs) must show up loudly
@@ -581,9 +596,10 @@ def test_large_gaps_and_axis_labels_print_exactly(tmp_path, capsysbinary):
     path.write_bytes(b"5000001\n3\n1\n")
     assert cli_io.main(["compute", "--input", str(path), "--output", "text"]) == 0
     text = capsysbinary.readouterr().out.decode()
-    assert "\ndistances: 5000000, 1, 2\nmin distance: 1 at journal 2\n" in text
+    assert "\ndistances: ranks 1-3: 5000000, 1, 2\nmin distance: 1 at journal 2\n" in text
     assert cli_io.main(["compute", "--input", str(path), "--output", "json"]) == 0
-    assert b'"distances": [\n    5000000,\n    1,\n    2\n  ]' in capsysbinary.readouterr().out
+    rows = b'"distances": {\n    "first_rank": 1,\n    "gaps": [\n      5000000,\n      1,\n      2\n    ]\n  }'
+    assert rows in capsysbinary.readouterr().out
     for values, labels in (
         ([5000001, 3, 1], ("3", "5000001")),
         ([2**53, 1], ("2", "9007199254740992")),
@@ -875,7 +891,8 @@ def test_cli_geometric_agrees_at_the_count_maximum(tmp_path):
     assert "agreement: yes" in proc.stdout and "\n  geometric: 1\n" in proc.stdout
 
 
-def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path):
+def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path, capsysbinary):
+    # neither does a report: both show a window read from sorted_desc
     path = tmp_path / "a4.json"
     path.write_bytes(emit_citations_json(A4))
 
@@ -886,11 +903,71 @@ def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path):
     out = tmp_path / "a4.svg"
     assert cli_io.main(["plot", "--input", str(path), "--format", "json", "--output", str(out)]) == 0
     assert 'stroke="red"' in out.read_text()  # the minimum-distance segment is still drawn
+    compute = ["compute", "--input", str(path), "--format", "json", "--output"]
+    assert cli_io.main([*compute, "json"]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["distances"] == {"first_rank": 1, "gaps": [399, 298, 197, 2]}
+    assert cli_io.main([*compute, "text"]) == 0
+    assert b"\ndistances: ranks 1-4: 399, 298, 197, 2\nmin distance: 2 at journal 4\n" in capsysbinary.readouterr().out
     monkeypatch.undo()
     report = build_report(profile(A4))
-    assert json.loads(emit_report(report, "json"))["distances"] == [399, 298, 197, 2]
-    assert "\ndistances: 399, 298, 197, 2\n" in emit_report(report, "text").decode()
-    assert report.trace.distances is report.trace.distances  # built once
+    assert report.trace.distances is report.trace.distances  # the library's lazy table is built once
+
+
+def test_report_stays_small_at_100k_papers():
+    # 300000 // rank straddles y = x between ranks 547 and 548 without
+    # touching it, and is not a straight line
+    p = profile([300_000 // rank for rank in range(1, 100_001)])
+    report = build_report(p)
+    assert report.trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE
+    output = emit_report(report, "json")
+    assert len(output) < 1024
+    assert json.loads(output)["distances"] == {"first_rank": 542, "gaps": [11, 9, 7, 5, 3, 1, 1, 3, 5, 7, 9]}
+
+
+def _check_distance_window(p):
+    """The report's window against the full table: exact slice, both
+    straddle ranks inside, the global minimum at the argmin."""
+    report = build_report(p)
+    window = report_to_dict(report)["distances"]
+    text = emit_report(report, "text").decode()
+    trace = report.trace
+    if trace is None or trace.case is not GeometricCase.NO_CROSSING_MIN_DISTANCE:
+        assert window is None and "\ndistances: " not in text
+        return None
+    sd, n, a = p.sorted_desc, p.n, trace.argmin_index
+    lo, gaps = window["first_rank"], window["gaps"]
+    hi = lo + len(gaps) - 1
+    table = vertical_distances(p)
+    assert (lo, hi) == (max(1, a - 5), min(n, a + 5))
+    assert gaps == table[lo - 1 : hi]
+    k = sum(c >= rank for rank, c in enumerate(sd, start=1))  # the last rank on or above y = x
+    assert lo <= k and k + 1 <= hi
+    assert gaps[a - lo] == min(gaps) == min(table)
+    shown = f"\ndistances: ranks {lo}-{hi}: {', '.join(map(str, gaps))}\nmin distance: {min(table)} at journal {a}\n"
+    assert shown in text
+    return lo == 1, hi == n
+
+
+def test_distance_window_matches_the_full_table():
+    for values in FIXTURES.values():
+        _check_distance_window(profile(values))
+    # clipped at rank 1 only, at rank n only, at neither
+    assert _check_distance_window(profile([12, 1] + [0] * 10)) == (True, False)
+    assert _check_distance_window(profile([12] * 9 + [1])) == (False, True)
+    assert _check_distance_window(profile([30] * 20 + [0] * 20)) == (False, False)
+
+
+def test_distance_window_matches_the_full_table_seeded_sweep():
+    clipped = Counter()
+    for values in _mixed_profiles(seed=5309, count=10_000):
+        clipped[_check_distance_window(profile(values))] += 1
+    assert all(clipped[ends] for ends in itertools.product((True, False), repeat=2))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=120) | arithmetic_progressions)
+def test_distance_window_matches_the_full_table_fuzzed(values):
+    _check_distance_window(profile(values))
 
 
 def test_cli_deeply_nested_json_exits_1(tmp_path):
