@@ -64,15 +64,15 @@ def _parse_csv(data: bytes) -> list[int]:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
-    # Checked before splitlines(), so that no second list of lines is live.
+    # Checked before the split into lines, so that no second list of lines is live.
     if _PLAIN_BODY.fullmatch(text):
         try:
             return list(map(int, text.split()))
         except ValueError:
             pass  # a count past the digit limit: the loop below reports its line
-    lines = text.splitlines()
-    if not lines:
-        return []
+    # Lines end at "\n" alone (strip() drops CRLF's "\r"); splitlines() would
+    # also break at "\f", "\v", "\x85", "\u2028" and other characters.
+    lines = text.split("\n")
 
     header = [cell.strip().lower() for cell in lines[0].split(",")]
     if header == ["paper_id", "citations"]:

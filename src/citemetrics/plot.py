@@ -4,10 +4,6 @@ the minimum-distance segment."""
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mul, sub, truediv
-from typing import Iterable, Iterator
-
 from .core import CitationProfile
 from .geometry import EmptyProfile, GeometricCase, GeometricTrace, LineFit
 
@@ -35,24 +31,6 @@ def plot_scales(profile: CitationProfile) -> tuple[float, float]:
     return x_max, y_max
 
 
-def _to_px(
-    xs: Iterable[float], ys: Iterable[float], x_max: float, y_max: float
-) -> Iterator[tuple[float, float]]:
-    """Pixel coordinates of the data points (xs[i], ys[i]), as C-level maps:
-    the same code places the n polyline vertices and the single points."""
-    pxs = map(add, repeat(_MARGIN_LEFT), map(mul, map(truediv, xs, repeat(x_max)), repeat(_FRAME_WIDTH)))
-    pys = map(sub, repeat(_FRAME_BOTTOM), map(mul, map(truediv, ys, repeat(y_max)), repeat(_FRAME_HEIGHT)))
-    return zip(pxs, pys)
-
-
-def _svg_line(a: tuple[float, float], b: tuple[float, float], color: str, dash: str = "") -> str:
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" y2="{b[1]:.2f}" '
-        f'stroke="{color}" stroke-width="2"{extra}/>'
-    )
-
-
 def emit_plot_svg(
     profile: CitationProfile, trace: GeometricTrace, fit: LineFit | None = None
 ) -> bytes:
@@ -71,8 +49,20 @@ def emit_plot_svg(
         raise EmptyProfile("cannot plot an empty profile")
     x_max, y_max = plot_scales(profile)
 
+    # The one data-to-pixel transform: the polyline carries it as its SVG
+    # matrix, and px places the few single points with the same factors.
+    sx, sy = _FRAME_WIDTH / x_max, -_FRAME_HEIGHT / y_max
+
+    def px(x: float, y: float) -> tuple[float, float]:
+        return _MARGIN_LEFT + sx * x, _FRAME_BOTTOM + sy * y
+
     def segment(x1: float, y1: float, x2: float, y2: float, color: str, dash: str = "") -> str:
-        return _svg_line(*_to_px((x1, x2), (y1, y2), x_max, y_max), color, dash)
+        (a1, b1), (a2, b2) = px(x1, y1), px(x2, y2)
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        return (
+            f'<line x1="{a1:.2f}" y1="{b1:.2f}" x2="{a2:.2f}" y2="{b2:.2f}" '
+            f'stroke="{color}" stroke-width="2"{extra}/>'
+        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -87,10 +77,13 @@ def emit_plot_svg(
     identity_reach = min(x_max, y_max)
     parts.append(segment(0, 0, identity_reach, identity_reach, _IDENTITY_COLOR))
 
-    ranks = range(1, profile.n + 1)
-    poly = " ".join(map("%.2f,%.2f".__mod__, _to_px(ranks, profile.sorted_desc, x_max, y_max)))
+    # Vertices are the exact (rank, citations) pairs; the stroke keeps its
+    # 2 px width under the anisotropic matrix.
+    poly = " ".join(map("%d,%d".__mod__, zip(range(1, profile.n + 1), profile.sorted_desc)))
     parts.append(
-        f'<polyline fill="none" stroke="{_CITATIONS_COLOR}" stroke-width="2" points="{poly}"/>'
+        f'<polyline fill="none" stroke="{_CITATIONS_COLOR}" stroke-width="2" '
+        f'vector-effect="non-scaling-stroke" '
+        f'transform="matrix({sx!r} 0 0 {sy!r} {_MARGIN_LEFT} {_FRAME_BOTTOM})" points="{poly}"/>'
     )
 
     if fit is not None:
@@ -105,7 +98,7 @@ def emit_plot_svg(
             cited = profile.sorted_desc[j - 1]
             parts.append(segment(j, j, j, cited, _DISTANCE_COLOR, dash="4 3"))
     elif marker <= identity_reach:
-        ((mx, my),) = _to_px((float(marker),), (float(marker),), x_max, y_max)
+        mx, my = px(float(marker), float(marker))
         parts.append(f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="4" fill="{_MARKER_COLOR}"/>')
 
     label_y = SVG_HEIGHT - 14

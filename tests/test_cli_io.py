@@ -113,6 +113,18 @@ def test_parse_csv_rejects_non_integer():
         assert "line 2" in str(exc.value)
 
 
+def test_parse_csv_breaks_lines_only_at_newline():
+    # str.splitlines() read "5\f6" as two counts, and "\f" as a line break
+    # in error locations
+    for sep in ("\x0c", "\u2028", "\x0b"):
+        with pytest.raises(ParseError) as exc:
+            parse_citations(f"5{sep}6\n".encode(), "csv")
+        assert str(exc.value).startswith("line 1:")
+        with pytest.raises(ParseError) as exc:
+            parse_citations(f"{sep}\nbanana\n".encode(), "csv")
+        assert str(exc.value).startswith("line 2:")
+
+
 def test_parse_csv_rejects_comma_without_header():
     with pytest.raises(ParseError):
         parse_citations(b"1,2\n3,4\n", "csv")
@@ -232,9 +244,7 @@ def _reference_parse_csv(data):
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
-    lines = text.splitlines()
-    if not lines:
-        return []
+    lines = text.split("\n")
     header = [cell.strip().lower() for cell in lines[0].split(",")]
     if header == ["paper_id", "citations"]:
         seen, values = {}, []
@@ -283,8 +293,8 @@ def _assert_csv_matches_reference(text, bom=False):
 
 
 # Digits and every separator or look-alike the two paths might treat apart:
-# "\x0b", "\x85" and "\u2028" end a line for splitlines() but not for the
-# plain-body check, "\xa0" is whitespace, and "\u0663" is an Arabic-Indic 3.
+# "\x0b", "\x85" and "\u2028" are whitespace to str.split() and strip() but
+# end no line, "\xa0" is whitespace, and "\u0663" is an Arabic-Indic 3.
 _CSV_ALPHABET = "0123456789-,_ \t\r\n\x0b\x85\u2028\xa0\u0663"
 
 
@@ -385,10 +395,15 @@ _ONE_PER_CASE = (A5, A3, A1, A4, [9, 9, 9], [0, 0], [1])
 def test_report_json_matches_plain_json_dumps():
     for values in (*_ONE_PER_CASE, [], A2, list(range(500, 0, -3))):
         report = build_report(profile(values))
-        plain = (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
-        assert emit_report(report, "json") == plain
+        payload = json.loads(emit_report(report, "json"))
+        assert payload == report_to_dict(report)
+        assert list(payload) == REPORT_KEYS
     cases = {build_report(profile(values)).trace.case for values in _ONE_PER_CASE}
     assert len(cases) == 5
+
+
+def test_report_to_dict_key_order_stable():
+    assert list(report_to_dict(build_report(profile(A2)))) == REPORT_KEYS
 
 
 def test_json_report_never_fits_the_trendline(monkeypatch):
@@ -518,7 +533,8 @@ def test_report_agreement_on_random_inputs(values):
 
 
 def _px_reference(x, y, x_max, y_max):
-    # the data-to-pixel transform written out for one point
+    # the data-to-pixel transform written out for one point, as the
+    # polyline's vertices were placed when it was drawn in pixels
     return _MARGIN_LEFT + (x / x_max) * _FRAME_WIDTH, _FRAME_BOTTOM - (y / y_max) * _FRAME_HEIGHT
 
 
@@ -629,17 +645,40 @@ def test_svg_empty_profile():
         emit_plot_svg(profile([]), trace)
 
 
+_SVG_NS = "{http://www.w3.org/2000/svg}"
+_MATRIX = re.compile(r"matrix\((\S+) 0 0 (\S+) (\S+) (\S+)\)")
+
+
+def _assert_lands_on_pixels(offset, scale, data, pixels):
+    # offset + scale * d lies within 0.005 + 1e-9 of "%.2f" % p for every
+    # (d, p): half a hundredth of a pixel, plus slack for the float factors
+    # of the transform p came from. Exact: scale = num / den, and the
+    # printed pixel is hundredths / 100, so both sides are scaled by 1e9 * den.
+    num, den = scale.as_integer_ratio()
+    bound = den * (5 * 10**6 + 1)
+    for d, p in zip(data, pixels):
+        hundredths = int(("%.2f" % p).replace(".", ""))
+        assert abs(10**9 * (offset * den + num * d) - 10**7 * hundredths * den) <= bound
+
+
 def _assert_polyline_matches_reference(values):
     p = profile(values)
     _, trace = geometric_h_index(p)
-    points = re.search(r'<polyline [^>]*points="([^"]*)"', emit_plot_svg(p, trace).decode()).group(1)
+    # a direct child of <svg>, where the benchmark's SVG check looks for it
+    (polyline,) = ET.fromstring(emit_plot_svg(p, trace)).findall(_SVG_NS + "polyline")
+    # the vertices are the data, exactly: (rank, citations) in rank order
+    assert polyline.get("points") == " ".join(f"{i},{c}" for i, c in enumerate(p.sorted_desc, start=1))
+    assert polyline.get("vector-effect") == "non-scaling-stroke"
+    # the printed matrix, applied in exact arithmetic, puts every vertex where
+    # one transform and one "%.2f" per vertex put it when the polyline was
+    # drawn in pixels
+    sx, sy, ex, ey = map(Fraction, _MATRIX.fullmatch(polyline.get("transform")).groups())
+    assert ex.denominator == ey.denominator == 1
     x_max, y_max = plot_scales(p)
-    # one transform and one format per vertex, as the polyline was first drawn
-    reference = " ".join(
-        "{:.2f},{:.2f}".format(*_px_reference(i, c, x_max, y_max)) for i, c in enumerate(p.sorted_desc, start=1)
-    )
-    assert points == reference
-    assert len(points.split()) == p.n
+    ranks = range(1, p.n + 1)
+    reference = [_px_reference(i, c, x_max, y_max) for i, c in zip(ranks, p.sorted_desc)]
+    _assert_lands_on_pixels(ex.numerator, sx, ranks, (x for x, _ in reference))
+    _assert_lands_on_pixels(ey.numerator, sy, p.sorted_desc, (y for _, y in reference))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6) | st.sampled_from([0, 1, 2**53 - 1, 2**53]), min_size=1, max_size=120))
@@ -656,6 +695,8 @@ def test_svg_polyline_matches_per_vertex_reference_seeded_sweep():
     # n = 1, all zero, n above every count, counts at the maximum; at
     # n = 1664, i * (560 / n) rounds rank 559 apart from (i / n) * 560
     for values in ([0], [5], [0] * 7, [1] * 50, [2**53], [2**53, 2**53, 0], [2**53] * 3 + [1], [0] * 1664):
+        _assert_polyline_matches_reference(values)
+    for values in (*FIXTURES.values(), [rng.randint(0, 2**53) for _ in range(100_000)]):
         _assert_polyline_matches_reference(values)
 
 
@@ -1031,7 +1072,3 @@ def test_cli_fuzz_exits_0_or_1_without_traceback(tmp_path_factory, data, fmt, co
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
-
-
-def test_report_to_dict_key_order_stable():
-    assert list(report_to_dict(build_report(profile(A2)))) == REPORT_KEYS
