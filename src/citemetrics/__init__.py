@@ -13,6 +13,7 @@ from .core import (
     HIndexResult,
     Method,
     NegativeCitation,
+    NonIntegerCitation,
     h_index_counting,
     h_index_oracle,
     h_index_sort_scan,
@@ -61,6 +62,7 @@ __all__ = [
     "Method",
     "MetricsReport",
     "NegativeCitation",
+    "NonIntegerCitation",
     "ParseError",
     "Point2",
     "UnknownMethod",

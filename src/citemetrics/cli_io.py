@@ -24,6 +24,7 @@ from .core import (
     HIndexResult,
     Method,
     NegativeCitation,
+    NonIntegerCitation,
     h_index_counting,
     h_index_oracle,
     h_index_sort_scan,
@@ -335,6 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         ParseError,
         NegativeCitation,
+        NonIntegerCitation,
         CitationTooLarge,
         InvalidSize,
         UnknownMethod,

@@ -19,6 +19,15 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 
+class NonIntegerCitation(ValueError):
+    """A value that is not exactly an int (bool included); the message names its type, not its repr."""
+
+    def __init__(self, index: int, value: object):
+        self.index = index
+        self.value = value
+        super().__init__(f"citation count at position {index} is not an integer: {type(value).__name__}")
+
+
 class NegativeCitation(ValueError):
     """A citation count below zero is invalid input."""
 
@@ -54,10 +63,10 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class CitationProfile:
-    """Validated per-paper citation counts for one author.
+    """Per-paper citation counts of one author, validated by normalize_profile.
 
-    ``sorted_desc`` holds the counts arranged non-increasingly, which is
-    the form every algorithm here works on; ``n`` is the number of papers.
+    ``sorted_desc`` holds the counts, ints in [0, MAX_CITATION], arranged
+    non-increasingly: the form every algorithm here works on.
     """
 
     sorted_desc: tuple[int, ...]
@@ -76,21 +85,22 @@ class HIndexResult:
 
 
 def normalize_profile(raw: Iterable[int]) -> CitationProfile:
-    """Validate citation counts and build a profile.
+    """Validate citation counts, the one place they are judged, and build a profile.
 
-    Accepts counts in any order; an empty input is a valid profile with
-    n = 0. Raises NegativeCitation on the first count below zero, else
-    CitationTooLarge on the first count above MAX_CITATION.
+    Accepts any order; an empty input gives n = 0. Raises NonIntegerCitation (not exactly
+    an int) or NegativeCitation at the first fault in input order; failing both, CitationTooLarge.
     """
     values = tuple(raw)
-    sorted_desc = tuple(sorted(values, reverse=True))
-    if sorted_desc and sorted_desc[-1] < 0:
-        bad = next(i for i, v in enumerate(values) if v < 0)
-        raise NegativeCitation(bad, values[bad])
-    if sorted_desc and sorted_desc[0] > MAX_CITATION:
-        bad = next(i for i, v in enumerate(values) if v > MAX_CITATION)
-        raise CitationTooLarge(bad, values[bad])
-    return CitationProfile(sorted_desc)
+    if set(map(type, values)) <= {int}:
+        sorted_desc = tuple(sorted(values, reverse=True))
+        if not sorted_desc or (sorted_desc[-1] >= 0 and sorted_desc[0] <= MAX_CITATION):
+            return CitationProfile(sorted_desc)
+    for i, v in enumerate(values):
+        if type(v) is not int:  # the fast path's test, so a rejected input always has a fault
+            raise NonIntegerCitation(i, v)
+        if v < 0:
+            raise NegativeCitation(i, v)
+    raise CitationTooLarge(*next((i, v) for i, v in enumerate(values) if v > MAX_CITATION))
 
 
 def _h_scan_ascending(ascending: Sequence[int]) -> int:

@@ -1,7 +1,8 @@
 """Input formats: citation counts from CSV or JSON bytes, and back to JSON.
 
 CSV holds one count per line, or two columns under a ``paper_id,citations``
-header; JSON holds a flat array of non-negative integers.
+header; JSON holds a flat array. Only syntax is checked here: the counts
+are judged by ``core.normalize_profile``.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 import json
 import re
 from typing import Iterable
-
-from .core import NegativeCitation
 
 
 class ParseError(ValueError):
@@ -26,12 +25,12 @@ class DuplicatePaperId(ParseError):
     """The same paper_id appeared twice in a two-column CSV."""
 
 
-def parse_citations(data: bytes, fmt: str) -> list[int]:
+def parse_citations(data: bytes, fmt: str) -> list:
     """Parse citation counts from raw bytes in the given format.
 
-    fmt is "csv" or "json". Returns counts in file order. Raises
-    ParseError on malformed input, NegativeCitation on counts below zero,
-    and DuplicatePaperId on repeated ids in the two-column CSV variant.
+    fmt is "csv" or "json". Returns the values in file order, unjudged (a
+    CSV "-3" or any JSON element): normalize_profile checks them. Raises
+    ParseError on malformed input, DuplicatePaperId on a repeated paper_id.
     """
     if fmt == "csv":
         return _parse_csv(data)
@@ -47,16 +46,13 @@ _COUNT_CELL = re.compile(r"-?[0-9]+")
 _PLAIN_BODY = re.compile(r"[0-9\n]*")
 
 
-def _parse_count(cell: str, lineno: int, position: int) -> int:
+def _parse_count(cell: str, lineno: int) -> int:
     try:
         if not _COUNT_CELL.fullmatch(cell):
             raise ValueError(cell)
-        value = int(cell)  # raises past the interpreter's digit limit
+        return int(cell)  # raises past the interpreter's digit limit
     except ValueError:
         raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
-    if value < 0:
-        raise NegativeCitation(position, value)
-    return value
 
 
 def _parse_csv(data: bytes) -> list[int]:
@@ -89,7 +85,7 @@ def _parse_csv(data: bytes) -> list[int]:
                 "expected one citation count per line "
                 "(two-column input needs a paper_id,citations header)",
             )
-        values.append(_parse_count(cell, lineno, len(values)))
+        values.append(_parse_count(cell, lineno))
     return values
 
 
@@ -110,11 +106,11 @@ def _parse_two_column(body: list[str]) -> list[int]:
                 f"line {lineno}", f"paper_id {paper_id!r} already appeared on line {seen[paper_id]}"
             )
         seen[paper_id] = lineno
-        values.append(_parse_count(count_cell, lineno, len(values)))
+        values.append(_parse_count(count_cell, lineno))
     return values
 
 
-def _parse_json(data: bytes) -> list[int]:
+def _parse_json(data: bytes) -> list:
     try:
         parsed = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -127,18 +123,7 @@ def _parse_json(data: bytes) -> list[int]:
         raise ParseError("document", "arrays nested too deeply") from None
     if not isinstance(parsed, list):
         raise ParseError("document", "expected a flat JSON array of citation counts")
-    # The common case, in C-level passes: every element a plain int (type()
-    # excludes bool), none negative. json.loads built the list; return it.
-    if set(map(type, parsed)) <= {int} and (not parsed or min(parsed) >= 0):
-        return parsed
-    values: list[int] = []
-    for i, item in enumerate(parsed):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ParseError(f"element {i}", f"expected an integer citation count, got {item!r}")
-        if item < 0:
-            raise NegativeCitation(i, item)
-        values.append(item)
-    return values
+    return parsed
 
 
 def emit_citations_json(values: Iterable[int]) -> bytes:

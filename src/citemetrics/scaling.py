@@ -66,9 +66,9 @@ def run_benchmark(
     method_list = list(methods)
     if not method_list:
         raise UnknownMethod("no benchmark methods given")
-    for method in method_list:
-        if not isinstance(method, Method):
-            raise UnknownMethod(f"unknown method: {method!r}")
+    for i, method in enumerate(method_list):
+        if not isinstance(method, Method) or method in method_list[:i]:
+            raise UnknownMethod(f"unknown or repeated method: {method}")
     rows = []
     for size in sizes:
         values = generate_citations(size, seed)

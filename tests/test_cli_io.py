@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from citemetrics import (
     BenchmarkRow,
+    CitationTooLarge,
     DuplicatePaperId,
     EmptyProfile,
     GeometricCase,
@@ -28,6 +29,7 @@ from citemetrics import (
     InvalidSize,
     Method,
     NegativeCitation,
+    NonIntegerCitation,
     ParseError,
     UnknownMethod,
     build_report,
@@ -45,6 +47,7 @@ from citemetrics import (
 )
 from citemetrics import cli_io, geometry, scaling
 from citemetrics.cli_io import report_to_dict
+from citemetrics.core import MAX_CITATION
 from citemetrics.plot import (
     _FRAME_BOTTOM,
     _FRAME_HEIGHT,
@@ -131,8 +134,15 @@ def test_parse_csv_rejects_comma_without_header():
 
 
 def test_parse_csv_negative_count():
-    with pytest.raises(NegativeCitation):
-        parse_citations(b"3\n-1\n", "csv")
+    # The parser reads the sign; normalize_profile rejects the count.
+    assert parse_citations(b"3\n-1\n", "csv") == [3, -1]
+    with pytest.raises(NegativeCitation) as exc:
+        normalize_profile(parse_citations(b"3\n-1\n", "csv"))
+    assert exc.value.index == 1
+    # A file must parse before its counts are judged.
+    with pytest.raises(ParseError) as exc:
+        normalize_profile(parse_citations(b"-1\nbanana\n", "csv"))
+    assert "line 2" in str(exc.value)
 
 
 def test_parse_json_array():
@@ -144,16 +154,17 @@ def test_parse_json_rejects_bad_documents():
     with pytest.raises(ParseError):
         parse_citations(b"{\"a\": 1}", "json")
     with pytest.raises(ParseError):
-        parse_citations(b"[1, 2.5]", "json")
-    with pytest.raises(ParseError):
-        parse_citations(b"[true]", "json")
-    with pytest.raises(ParseError):
         parse_citations(b"[1, 2", "json")
+    # Elements that are not counts parse; normalize_profile rejects them.
+    for document, index in ((b"[1, 2.5]", 1), (b"[true]", 0)):
+        with pytest.raises(NonIntegerCitation) as exc:
+            normalize_profile(parse_citations(document, "json"))
+        assert exc.value.index == index
 
 
 def test_parse_json_negative_count():
     with pytest.raises(NegativeCitation) as exc:
-        parse_citations(b"[5, -2]", "json")
+        normalize_profile(parse_citations(b"[5, -2]", "json"))
     assert exc.value.index == 1
 
 
@@ -162,8 +173,26 @@ def test_json_round_trip(values):
     assert parse_citations(emit_citations_json(values), "json") == values
 
 
-# A copy of the JSON parser as it stood before the all-int fast path, which
-# checked and copied every element in a Python loop.
+# Naive count checks, element by element: type, then sign, in file order;
+# then the bound. normalize_profile's fast path and error scan must agree.
+def _reference_judge(values):
+    for i, item in enumerate(values):
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise NonIntegerCitation(i, item)
+        if item < 0:
+            raise NegativeCitation(i, item)
+    for i, item in enumerate(values):
+        if item > MAX_CITATION:
+            raise CitationTooLarge(i, item)
+    return values, tuple(sorted(values, reverse=True))
+
+
+def _parse_and_normalize(data, fmt):
+    values = parse_citations(data, fmt)
+    return values, normalize_profile(values).sorted_desc
+
+
+# The JSON parser as a naive reference: json.loads, then the checks above.
 def _reference_parse_json(data):
     try:
         parsed = json.loads(data)
@@ -177,19 +206,12 @@ def _reference_parse_json(data):
         raise ParseError("document", "arrays nested too deeply") from None
     if not isinstance(parsed, list):
         raise ParseError("document", "expected a flat JSON array of citation counts")
-    values = []
-    for i, item in enumerate(parsed):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ParseError(f"element {i}", f"expected an integer citation count, got {item!r}")
-        if item < 0:
-            raise NegativeCitation(i, item)
-        values.append(item)
-    return values
+    return _reference_judge(parsed)
 
 
 def _assert_json_matches_reference(document):
     data = json.dumps(document).encode("utf-8")
-    assert _outcome(lambda d: parse_citations(d, "json"), data) == _outcome(_reference_parse_json, data)
+    assert _outcome(lambda d: _parse_and_normalize(d, "json"), data) == _outcome(_reference_parse_json, data)
 
 
 # Everything an array element can be that is not a count, mixed with counts.
@@ -222,21 +244,19 @@ def test_parse_json_fast_path_matches_reference_seeded_sweep():
         _assert_json_matches_reference(document)
 
 
-# A copy of the per-line CSV parser as it stood before the single-pass fast
-# path: the fast path must never change what a CSV parses to, or how it fails.
+# The per-line CSV parser as a naive reference, followed by the count
+# checks above: the single-pass fast path must never change what a CSV
+# parses to, or how it fails.
 _REFERENCE_CELL = re.compile(r"-?[0-9]+")
 
 
-def _reference_count(cell, lineno, position):
+def _reference_count(cell, lineno):
     try:
         if not _REFERENCE_CELL.fullmatch(cell):
             raise ValueError(cell)
-        value = int(cell)
+        return int(cell)
     except ValueError:
         raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
-    if value < 0:
-        raise NegativeCitation(position, value)
-    return value
 
 
 def _reference_parse_csv(data):
@@ -262,8 +282,8 @@ def _reference_parse_csv(data):
                     f"line {lineno}", f"paper_id {paper_id!r} already appeared on line {seen[paper_id]}"
                 )
             seen[paper_id] = lineno
-            values.append(_reference_count(count_cell, lineno, len(values)))
-        return values
+            values.append(_reference_count(count_cell, lineno))
+        return _reference_judge(values)
     values = []
     for lineno, line in enumerate(lines, start=1):
         cell = line.strip()
@@ -275,21 +295,21 @@ def _reference_parse_csv(data):
                 "expected one citation count per line "
                 "(two-column input needs a paper_id,citations header)",
             )
-        values.append(_reference_count(cell, lineno, len(values)))
-    return values
+        values.append(_reference_count(cell, lineno))
+    return _reference_judge(values)
 
 
 def _outcome(parse, data):
     try:
         return parse(data)
     except ValueError as exc:
-        return type(exc), str(exc)
+        return type(exc), getattr(exc, "index", None), str(exc)
 
 
 def _assert_csv_matches_reference(text, bom=False):
     data = ("\ufeff" if bom else "") + text
     data = data.encode("utf-8")
-    assert _outcome(lambda d: parse_citations(d, "csv"), data) == _outcome(_reference_parse_csv, data)
+    assert _outcome(lambda d: _parse_and_normalize(d, "csv"), data) == _outcome(_reference_parse_csv, data)
 
 
 # Digits and every separator or look-alike the two paths might treat apart:
@@ -752,6 +772,7 @@ def test_run_benchmark_checks_every_argument_before_generating_input(monkeypatch
         ([1000], [Method.COUNTING], 4, InvalidSize),
         ([1000], [], 5, UnknownMethod),
         ([1000], [Method.COUNTING, "quantum"], 5, UnknownMethod),
+        ([1000], [Method.COUNTING, Method.ORACLE, Method.COUNTING], 5, UnknownMethod),
     ):
         with pytest.raises(error):
             run_benchmark(sizes, methods, seed=1, runs=runs)
@@ -1034,6 +1055,14 @@ def test_cli_bench_repeated_sizes_exits_1():
     proc = run_cli("bench", "--sizes", "100,100", "--methods", "count")
     _assert_input_error(proc)
     assert "distinct" in proc.stderr
+
+
+def test_cli_bench_repeated_methods_exits_1():
+    # used to die after timing in scaling_exponents with a StatisticsError
+    # traceback, or with two sizes, to print every row twice and exit 0
+    proc = run_cli("bench", "--sizes", "5", "--runs", "5", "--methods", "count,count")
+    _assert_input_error(proc)
+    assert "repeated method" in proc.stderr
 
 
 # Bytes that reach every parser branch: digits, separators, signs, JSON

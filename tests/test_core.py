@@ -10,6 +10,7 @@ from citemetrics import (
     CitationTooLarge,
     Method,
     NegativeCitation,
+    NonIntegerCitation,
     geometric_h_index,
     h_index_counting,
     h_index_oracle,
@@ -57,6 +58,33 @@ def test_normalize_rejects_counts_above_the_maximum_with_position():
     assert "position 1" in str(exc.value)
     with pytest.raises(NegativeCitation):  # a negative count is reported first
         normalize_profile([10**400, -1])
+
+
+def test_normalize_rejects_values_that_are_not_ints_with_position():
+    # Used to build a profile that build_report and emit_plot_svg then tripped over.
+    for raw, index, type_name in (
+        ([2.5, 1.0, True], 0, "float"),
+        ([1, True], 1, "bool"),
+        ([1, None], 1, "NoneType"),
+        ([1, "2"], 1, "str"),
+        (["3", "1"], 0, "str"),  # used to escape as a bare TypeError from sorted()
+    ):
+        with pytest.raises(NonIntegerCitation) as exc:
+            normalize_profile(raw)
+        assert exc.value.index == index
+        assert exc.value.value is raw[index]
+        assert str(exc.value) == f"citation count at position {index} is not an integer: {type_name}"
+    # A fault is reported at the first faulty element, whichever kind it is.
+    with pytest.raises(NegativeCitation) as exc:
+        normalize_profile([-1, 2.5])
+    assert exc.value.index == 0
+
+
+def test_normalize_reads_a_one_pass_iterable_once():
+    with pytest.raises(NegativeCitation) as exc:
+        normalize_profile(iter([3, -1]))
+    assert (exc.value.index, exc.value.value) == (1, -1)
+    assert normalize_profile(iter([1, 3, 2])).sorted_desc == (3, 2, 1)
 
 
 @given(citation_lists)
