@@ -11,6 +11,7 @@ from .core import (
     CitationProfile,
     CitationTooLarge,
     HIndexResult,
+    InputError,
     Method,
     NegativeCitation,
     NonIntegerCitation,
@@ -57,6 +58,7 @@ __all__ = [
     "GeometricCase",
     "GeometricTrace",
     "HIndexResult",
+    "InputError",
     "InvalidSize",
     "LineFit",
     "Method",

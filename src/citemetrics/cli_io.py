@@ -20,18 +20,15 @@ from typing import Sequence
 
 from .core import (
     CitationProfile,
-    CitationTooLarge,
     HIndexResult,
+    InputError,
     Method,
-    NegativeCitation,
-    NonIntegerCitation,
     h_index_counting,
     h_index_oracle,
     h_index_sort_scan,
     normalize_profile,
 )
 from .geometry import (
-    DegenerateFit,
     EmptyProfile,
     GeometricTrace,
     LineFit,
@@ -277,6 +274,8 @@ def _cmd_bench(args) -> int:
             raise UnknownMethod(
                 f"unknown method {token!r} (choose from {', '.join(sorted(_METHOD_TOKENS))})"
             )
+        if _METHOD_TOKENS[token] in methods:
+            raise UnknownMethod(f"repeated method {token!r}")
         methods.append(_METHOD_TOKENS[token])
     rows = run_benchmark(sizes, methods, seed=args.seed, runs=args.runs)
     sys.stdout.write(format_benchmark_report(rows))
@@ -300,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute the h-index and emit a report")
     compute.add_argument("--input", required=True, help="path to the citations file")
     compute.add_argument("--format", choices=["csv", "json"], default="csv")
-    compute.add_argument(
-        "--method", choices=["sort", "count", "oracle", "geometric", "all"], default="all"
-    )
+    compute.add_argument("--method", choices=[*_METHOD_TOKENS, "all"], default="all")
     compute.add_argument("--output", choices=["json", "text"], default="json")
     compute.set_defaults(func=_cmd_compute)
 
@@ -322,9 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True, help="comma-separated input sizes")
     bench.add_argument("--runs", type=int, default=5, help="timing runs per size and method")
     bench.add_argument("--seed", type=int, default=0, help="seed for input generation")
-    bench.add_argument(
-        "--methods", default="sort,count,oracle,geometric", help="comma-separated method names"
-    )
+    bench.add_argument("--methods", default=",".join(_METHOD_TOKENS), help="comma-separated method names")
     bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -333,16 +328,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        NegativeCitation,
-        NonIntegerCitation,
-        CitationTooLarge,
-        InvalidSize,
-        UnknownMethod,
-        EmptyProfile,
-        DegenerateFit,
-        OSError,
-    ) as exc:
+    except (ParseError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -19,7 +19,11 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 
-class NonIntegerCitation(ValueError):
+class InputError(ValueError):
+    """Input the package rejects, which the CLI reports with exit 1."""
+
+
+class NonIntegerCitation(InputError):
     """A value that is not exactly an int (bool included); the message names its type, not its repr."""
 
     def __init__(self, index: int, value: object):
@@ -28,7 +32,7 @@ class NonIntegerCitation(ValueError):
         super().__init__(f"citation count at position {index} is not an integer: {type(value).__name__}")
 
 
-class NegativeCitation(ValueError):
+class NegativeCitation(InputError):
     """A citation count below zero is invalid input."""
 
     def __init__(self, index: int, value: int):
@@ -42,7 +46,7 @@ class NegativeCitation(ValueError):
 MAX_CITATION = 2**53
 
 
-class CitationTooLarge(ValueError):
+class CitationTooLarge(InputError):
     """A citation count above MAX_CITATION is invalid input."""
 
     def __init__(self, index: int, value: int):

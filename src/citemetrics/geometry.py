@@ -44,14 +44,14 @@ from itertools import islice, pairwise
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .core import CitationProfile, HIndexResult, Method
+from .core import CitationProfile, HIndexResult, InputError, Method
 
 
-class EmptyProfile(ValueError):
+class EmptyProfile(InputError):
     """The geometric construction needs at least one paper."""
 
 
-class DegenerateFit(ValueError):
+class DegenerateFit(InputError):
     """A line cannot be fitted through fewer than two papers."""
 
 

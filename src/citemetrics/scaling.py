@@ -10,15 +10,15 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Method, _h_counting, _h_definition_scan, _h_scan_ascending, normalize_profile
+from .core import InputError, Method, _h_counting, _h_definition_scan, _h_scan_ascending, normalize_profile
 from .geometry import geometric_h_index
 
 
-class InvalidSize(ValueError):
+class InvalidSize(InputError):
     """Benchmark sizes must be positive integers."""
 
 
-class UnknownMethod(ValueError):
+class UnknownMethod(InputError):
     """A method name that no algorithm answers to."""
 
 
@@ -85,7 +85,8 @@ def run_benchmark(
 
 
 def scaling_exponents(rows: Sequence[BenchmarkRow]) -> dict[Method, float]:
-    """Empirical scaling exponent per method: log-log least-squares slope."""
+    """Empirical scaling exponent per method timed at two or more distinct
+    sizes: log-log least-squares slope."""
     by_method: dict[Method, tuple[list[float], list[float]]] = {}
     for row in rows:
         xs, ys = by_method.setdefault(row.method, ([], []))
@@ -94,7 +95,7 @@ def scaling_exponents(rows: Sequence[BenchmarkRow]) -> dict[Method, float]:
     return {
         method: statistics.linear_regression(xs, ys).slope
         for method, (xs, ys) in by_method.items()
-        if len(xs) >= 2
+        if len(set(xs)) >= 2
     }
 
 

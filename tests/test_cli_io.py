@@ -2,10 +2,13 @@
 
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import itertools
 import json
 import math
+import pkgutil
 import random
 import re
 import subprocess
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citemetrics
 from citemetrics import (
     BenchmarkRow,
     CitationTooLarge,
@@ -26,6 +30,7 @@ from citemetrics import (
     EmptyProfile,
     GeometricCase,
     HIndexResult,
+    InputError,
     InvalidSize,
     Method,
     NegativeCitation,
@@ -786,6 +791,13 @@ def test_scaling_exponents_shape():
     assert 0.0 < exponents[Method.COUNTING] < 3.0
 
 
+def test_scaling_exponents_skip_a_method_timed_at_one_size():
+    # used to raise statistics.StatisticsError: x is constant
+    rows = [BenchmarkRow(n=5, method=Method.COUNTING, median_runtime=1e-6, runs=5)] * 2
+    assert scaling_exponents(rows) == {}
+    assert "scaling exponent" not in format_benchmark_report(rows)
+
+
 def test_format_benchmark_report():
     rows = [
         BenchmarkRow(n=1000, method=Method.COUNTING, median_runtime=1e-4, runs=5),
@@ -1063,6 +1075,8 @@ def test_cli_bench_repeated_methods_exits_1():
     proc = run_cli("bench", "--sizes", "5", "--runs", "5", "--methods", "count,count")
     _assert_input_error(proc)
     assert "repeated method" in proc.stderr
+    assert "'count'" in proc.stderr
+    assert "Method." not in proc.stderr
 
 
 # Bytes that reach every parser branch: digits, separators, signs, JSON
@@ -1101,3 +1115,25 @@ def test_cli_fuzz_exits_0_or_1_without_traceback(tmp_path_factory, data, fmt, co
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+def test_every_package_exception_is_an_input_error():
+    # main exits 1 on exactly these two bases (and OSError); a new error type
+    # outside them would reach the user as a traceback.
+    checked = set()
+    for info in pkgutil.iter_modules(citemetrics.__path__):
+        module = importlib.import_module(f"citemetrics.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, BaseException):
+                assert issubclass(cls, (ParseError, InputError)), cls
+                checked.add(cls)
+    assert {ParseError, InputError, EmptyProfile, UnknownMethod} <= checked
+
+
+def test_cli_internal_value_error_is_not_an_input_error(a1_csv, monkeypatch):
+    def broken(profile):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli_io, "h_index_counting", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli_io.main(["compute", "--input", str(a1_csv)])
