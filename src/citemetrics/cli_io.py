@@ -205,8 +205,8 @@ EXIT_DISAGREEMENT = 2
 
 
 def _read_profile(args) -> CitationProfile:
-    data = Path(args.input).read_bytes()
-    return normalize_profile(parse_citations(data, args.format))
+    # The bytes are dropped when the parse returns, before the sort.
+    return normalize_profile(parse_citations(Path(args.input).read_bytes(), args.format))
 
 
 def _replay_line(report: MetricsReport) -> str:
@@ -216,9 +216,11 @@ def _replay_line(report: MetricsReport) -> str:
     import hashlib  # loads OpenSSL, a few MiB of RSS that only this path needs
 
     sd = report.profile.sorted_desc
-    digest = hashlib.sha256("".join(f"{c}\n" for c in sd).encode("ascii")).hexdigest()
+    digest = hashlib.sha256()
+    for lo in range(0, len(sd), 8192):  # in blocks: no n-sized string
+        digest.update(b"".join(map(b"%d\n".__mod__, sd[lo : lo + 8192])))
     methods = " ".join(f"{r.method.value}={r.h}" for r in report.results)
-    return f"disagreement: n={len(sd)} {methods} sha256={digest}"
+    return f"disagreement: n={len(sd)} {methods} sha256={digest.hexdigest()}"
 
 
 def _cmd_compute(args) -> int:

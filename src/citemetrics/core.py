@@ -94,7 +94,7 @@ def normalize_profile(raw: Iterable[int]) -> CitationProfile:
     Accepts any order; an empty input gives n = 0. Raises NonIntegerCitation (not exactly
     an int) or NegativeCitation at the first fault in input order; failing both, CitationTooLarge.
     """
-    values = tuple(raw)
+    values = raw if type(raw) in (list, tuple) else tuple(raw)  # read up to three times
     if set(map(type, values)) <= {int}:
         sorted_desc = tuple(sorted(values, reverse=True))
         if not sorted_desc or (sorted_desc[-1] >= 0 and sorted_desc[0] <= MAX_CITATION):

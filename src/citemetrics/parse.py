@@ -43,7 +43,11 @@ def parse_citations(data: bytes, fmt: str) -> list:
 _COUNT_CELL = re.compile(r"-?[0-9]+")
 # The canonical single-column body: counts in ASCII digits, "\n" between them.
 # It has no comma, so it cannot be the paper_id,citations header.
-_PLAIN_BODY = re.compile(r"[0-9\n]*")
+_PLAIN_BODY = re.compile(rb"[0-9\n]*")
+_BOM = b"\xef\xbb\xbf"
+# Bytes per slice of a plain body, each cut at a "\n": only one slice's
+# worth of short byte strings is alive beside the counts parsed so far.
+_SLICE = 1 << 16
 
 
 def _parse_count(cell: str, lineno: int) -> int:
@@ -55,17 +59,28 @@ def _parse_count(cell: str, lineno: int) -> int:
         raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
 
 
+def _parse_plain(data: bytes, start: int) -> list[int]:
+    values: list[int] = []
+    while start < len(data):
+        end = data.find(b"\n", start + _SLICE - 1) + 1 or len(data)
+        values.extend(map(int, data[start:end].split()))
+        start = end
+    return values
+
+
 def _parse_csv(data: bytes) -> list[int]:
+    # A plain body is parsed from the bytes, without the decoded text or a
+    # list of its lines.
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    if _PLAIN_BODY.fullmatch(data, start):
+        try:
+            return _parse_plain(data, start)
+        except ValueError:
+            pass  # a count past the digit limit: the loop below reports its line
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"offset {exc.start}", "input is not valid UTF-8") from None
-    # Checked before the split into lines, so that no second list of lines is live.
-    if _PLAIN_BODY.fullmatch(text):
-        try:
-            return list(map(int, text.split()))
-        except ValueError:
-            pass  # a count past the digit limit: the loop below reports its line
     # Lines end at "\n" alone (strip() drops CRLF's "\r"); splitlines() would
     # also break at "\f", "\v", "\x85", "\u2028" and other characters.
     lines = text.split("\n")

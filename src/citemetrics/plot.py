@@ -4,6 +4,8 @@ the minimum-distance segment."""
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .core import CitationProfile
 from .geometry import EmptyProfile, GeometricCase, GeometricTrace, LineFit
 
@@ -79,12 +81,14 @@ def emit_plot_svg(
 
     # Vertices are the exact (rank, citations) pairs; the stroke keeps its
     # 2 px width under the anisotropic matrix.
-    poly = " ".join(map("%d,%d".__mod__, zip(range(1, profile.n + 1), profile.sorted_desc)))
     parts.append(
         f'<polyline fill="none" stroke="{_CITATIONS_COLOR}" stroke-width="2" '
         f'vector-effect="non-scaling-stroke" '
-        f'transform="matrix({sx!r} 0 0 {sy!r} {_MARGIN_LEFT} {_FRAME_BOTTOM})" points="{poly}"/>'
+        f'transform="matrix({sx!r} 0 0 {sy!r} {_MARGIN_LEFT} {_FRAME_BOTTOM})" points="'
     )
+    # The points go between head and tail, in bytes (see _points).
+    head = "\n".join(parts).encode("ascii")
+    parts = ['"/>']
 
     if fit is not None:
         lo, hi = _visible_span(fit, x_max, y_max)
@@ -124,8 +128,22 @@ def emit_plot_svg(
         f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 5}" text-anchor="end" '
         f'font-size="12" font-family="sans-serif">{y_max:.0f}</text>'
     )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    parts.append("</svg>\n")
+    return b"".join([head, *_points(profile.sorted_desc), "\n".join(parts).encode("ascii")])
+
+
+# Vertices per chunk of the points attribute: the document is joined once,
+# from bytes, and only one chunk's vertex strings are alive at a time.
+_CHUNK = 8192
+
+
+def _points(sorted_desc: tuple[int, ...]) -> Iterator[bytes]:
+    """The polyline's "rank,citations" vertices, space-separated, in chunks."""
+    for lo in range(0, len(sorted_desc), _CHUNK):
+        if lo:
+            yield b" "
+        vertices = zip(range(lo + 1, lo + _CHUNK + 1), sorted_desc[lo : lo + _CHUNK])
+        yield b" ".join(map(b"%d,%d".__mod__, vertices))
 
 
 def _visible_span(fit: LineFit, x_max: float, y_max: float) -> tuple[float, float]:

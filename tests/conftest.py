@@ -1,6 +1,7 @@
 """Shared fixture data: the five canonical use cases and helpers."""
 
 import random
+import tracemalloc
 
 from citemetrics import CitationProfile, normalize_profile
 
@@ -27,3 +28,20 @@ def random_profiles(seed: int, count: int, max_n: int = 200, max_citation: int =
         n = rng.randint(0, max_n)
         values = [rng.randint(0, max_citation) for _ in range(n)]
         yield values, normalize_profile(values)
+
+
+def traced_memory(fn, *args):
+    """(result, peak, retained): fn(*args) and the bytes it allocated, at
+    their peak and still held after it returns, counted by tracemalloc."""
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not running:
+            tracemalloc.stop()
+    return result, peak - before, current - before

@@ -50,7 +50,7 @@ from citemetrics import (
     scaling_exponents,
     vertical_distances,
 )
-from citemetrics import cli_io, geometry, scaling
+from citemetrics import cli_io, geometry, parse, plot, scaling
 from citemetrics.cli_io import report_to_dict
 from citemetrics.core import MAX_CITATION
 from citemetrics.plot import (
@@ -63,7 +63,7 @@ from citemetrics.plot import (
     plot_scales,
 )
 from citemetrics.scaling import format_benchmark_report
-from conftest import A1, A1_CSV, A2, A3, A4, A5, FIXTURES, profile
+from conftest import A1, A1_CSV, A2, A3, A4, A5, FIXTURES, profile, traced_memory
 from test_geometry import _mixed_profiles, _reference_fit, arithmetic_progressions
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
@@ -329,7 +329,7 @@ def test_parse_csv_fast_path_matches_reference(text, bom):
     _assert_csv_matches_reference(text, bom)
 
 
-def test_parse_csv_fast_path_matches_reference_seeded_sweep():
+def _csv_seeded_sweep():
     rng = random.Random(2718)
     # Half the draws are mostly digits and newlines, so that both paths run.
     weighted = "0123456789" * 3 + "\n" * 8 + _CSV_ALPHABET
@@ -339,12 +339,69 @@ def test_parse_csv_fast_path_matches_reference_seeded_sweep():
         _assert_csv_matches_reference(text, bom=rng.random() < 0.2)
 
 
+def test_parse_csv_fast_path_matches_reference_seeded_sweep():
+    _csv_seeded_sweep()
+
+
 def test_parse_csv_fast_path_edges():
     for text in ("", "\n", "\n\n7\n\n", "007\n0", "1\n" + "9" * 5000 + "\n", "paper_id,citations\n"):
         _assert_csv_matches_reference(text)
     with pytest.raises(ParseError) as exc:
         parse_citations(("1\n" + "9" * 5000 + "\n").encode(), "csv")
     assert "line 2" in str(exc.value)
+
+
+def _assert_digit_limit_reports_its_line(lines, lineno):
+    # a count past the digit limit at line lineno, after any slice edges
+    lines = [*lines[: lineno - 1], "9" * 5000, *lines[lineno - 1 :]]
+    text = "\n".join(lines) + "\n"
+    _assert_csv_matches_reference(text)
+    with pytest.raises(ParseError, match=f"^line {lineno}: not an integer"):
+        parse_citations(text.encode(), "csv")
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_parse_csv_slices_match_reference_at_every_edge(monkeypatch, size):
+    # The plain body is parsed in slices of at least parse._SLICE bytes,
+    # each cut after a "\n"; tiny slices put an edge in every count.
+    monkeypatch.setattr(parse, "_SLICE", size)
+    edges = (
+        "12\n345\n6789\n10111213\n",  # counts across edges
+        "1\n\n\n22\n\n\n\n333\n\n",  # blank lines at edges
+        "\n\n\n\n\n\n\n\n4",
+        "10\n200\n3000",  # no final newline
+        "5",
+        "0\n",
+    )
+    for text in edges:
+        for bom in (False, True):
+            _assert_csv_matches_reference(text, bom)
+    _assert_digit_limit_reports_its_line(["7", "", "88", "999"] * 5, 17)
+    _csv_seeded_sweep()
+
+
+def test_parse_csv_slices_above_one_slice():
+    # more than 64 KiB at the real slice size: several edges, one of them
+    # at a blank line, and a digit-limit count past the first slice
+    rng = random.Random(65536)
+    lines = [str(rng.randint(0, 10**6)) if rng.random() < 0.9 else "" for _ in range(60_000)]
+    text = "\n".join(lines)
+    assert len(text) > 4 * parse._SLICE
+    for data in (text, text + "\n"):
+        _assert_csv_matches_reference(data)
+        _assert_csv_matches_reference(data, bom=True)
+    assert parse_citations(text.encode(), "csv") == [int(line) for line in lines if line]
+    _assert_digit_limit_reports_its_line(lines, 51_234)
+
+
+def test_parse_csv_peak_memory_stays_near_its_result():
+    # one slice of short byte strings at a time, beside the counts: the
+    # decoded text and a list of all 100k line strings made 2.9x
+    rng = random.Random(100_000)
+    data = b"".join(b"%d\n" % rng.randint(0, 200_000) for _ in range(100_000))
+    values, peak, retained = traced_memory(parse_citations, data, "csv")
+    assert len(values) == 100_000
+    assert peak <= 1.25 * retained
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +587,13 @@ def test_cli_disagreement_prints_a_replay_line(monkeypatch, a1_csv, capsysbinary
     digest = hashlib.sha256(b"".join(b"%d\n" % c for c in sorted(A1, reverse=True))).hexdigest()
     replay = f"disagreement: n=11 sort_scan=5 counting=6 oracle=5 geometric=5 sha256={digest}\n"
     assert err.endswith("this is a bug in citemetrics\n" + replay)
+
+
+def test_replay_line_hashes_every_block_of_counts():
+    values = list(range(20_000, 0, -1))
+    report = build_report(profile(values))
+    digest = hashlib.sha256("".join(f"{c}\n" for c in values).encode()).hexdigest()
+    assert cli_io._replay_line(report).endswith(f" sha256={digest}")
 
 
 def test_disagreement_is_surfaced_not_hidden():
@@ -723,6 +787,57 @@ def test_svg_polyline_matches_per_vertex_reference_seeded_sweep():
         _assert_polyline_matches_reference(values)
     for values in (*FIXTURES.values(), [rng.randint(0, 2**53) for _ in range(100_000)]):
         _assert_polyline_matches_reference(values)
+
+
+# sha256 of whole SVG documents, without and with the trendline: the
+# fixtures, and profiles whose polylines end just before, at and after a
+# plot._CHUNK edge, and past three chunks.
+_SVG_SHA256 = {
+    "a1": ("1549eed5ee871976dba93dde0a053de2d4168826c43951198f5be50cb34ae20e",
+           "6cfe9b699676203eda30c162e2982980e5ff356c25a3d01542faf085eea81304"),
+    "a2": ("625953d5dfcd3a8f207d3b93d1afdd515402dad99328184fc4741dab57db78c7",
+           "1ebe938676e9881f5566f4aca47098c7d27a6aa8432c3ffca961a3a589709e95"),
+    "a3": ("c0ff8285252da21f14bc198faa1f5c8fd40046037d30d3f033612d2bd7f452c6",
+           "83ba3897a41838501d42011fb4127c36c010cefa6d5a5a3738816ebef748af03"),
+    "a4": ("07e927d82d6ece9bf80a4f429cea7a28bb584c99d95e00033b7d4b833088611a",
+           "6a40e0dc333ef96435ecef0b6eeb5f3ffe519ece5a397da3daaae93ff37e6b0e"),
+    "a5": ("88a097d1fc9f71aee617f7824f3a15ff52599d513a675a51845f795f409eed04",
+           "68d2a4e4fc19c967edaedd37dd8c159526c1cdebc76147c2a611caff479e0299"),
+    8191: ("17ec65a891cc1278d92c1b3cde3c00994f9cd37c193ca13172a7ce43a40d2d9f",
+           "786209dfed7389768943a93ce7e7c1ed61e270410b6709c2412f607762fba8df"),
+    8192: ("0ab2150d3c1d805efee315a19c2a0ef0765b24ad81e67efe9ff08cbff5c4cf81",
+           "bf40acf36831b9ed60ffb34917c2cfc5f1de1f2a503ff19bd6ecf0e841a5495e"),
+    8193: ("e7bb25b277c4cc61120a69f1962b8e99db451ac987791a7d1c8a7b9c295b4340",
+           "d0ae35bf6dc2e604e6895fec1ad990fda8923438530f363374562bbf264a764b"),
+    3 * 8192 + 1: ("4b85ecea63e105b276e4c6319e172efa6a1d0d001ea43b24b3f6d2bdfbe9aa95",
+                   "802d234e837fb8bb779a9f456f3c23c8a5a1106a189beda43cf4a9d7f943eed6"),
+}
+
+
+def _svg_chunk_profile(n):
+    # uniform counts in [0, 2n], near-linear once sorted: the gate passes
+    rng = random.Random(n)
+    return profile([rng.randint(0, 2 * n) for _ in range(n)])
+
+
+def test_svg_documents_are_pinned_across_chunk_edges():
+    assert plot._CHUNK == 8192
+    for key, digests in _SVG_SHA256.items():
+        p = profile(FIXTURES[key]) if isinstance(key, str) else _svg_chunk_profile(key)
+        _, fit = estimate_h_via_trendline(p)
+        if not isinstance(key, str):
+            assert cli_io._gated_trendline(p)[0] == fit
+        trace = geometric_h_index(p)[1]
+        assert tuple(hashlib.sha256(emit_plot_svg(p, trace, f)).hexdigest() for f in (None, fit)) == digests
+
+
+def test_svg_peak_memory_stays_near_its_output():
+    # the document is joined once from byte chunks: a str of every vertex,
+    # then the whole document as str and as bytes made 6.5x
+    p = _svg_chunk_profile(100_000)
+    svg, peak, _ = traced_memory(emit_plot_svg, p, geometric_h_index(p)[1])
+    assert svg.count(b",") == 100_000
+    assert peak <= 3 * len(svg)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from citemetrics import (
     h_index_sort_scan,
     normalize_profile,
 )
-from conftest import A1, EXPECTED_H, FIXTURES, profile, random_profiles
+from conftest import A1, EXPECTED_H, FIXTURES, profile, random_profiles, traced_memory
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
 
@@ -85,6 +85,16 @@ def test_normalize_reads_a_one_pass_iterable_once():
         normalize_profile(iter([3, -1]))
     assert (exc.value.index, exc.value.value) == (1, -1)
     assert normalize_profile(iter([1, 3, 2])).sorted_desc == (3, 2, 1)
+
+
+def test_normalize_copies_a_list_only_into_its_sorted_profile():
+    # a list or tuple is read in place: the sorted list and the profile's
+    # tuple are the only n-sized containers (a copy of the input made 3x)
+    rng = random.Random(7)
+    values = [rng.randint(0, 200_000) for _ in range(100_000)]
+    p, peak, retained = traced_memory(normalize_profile, values)
+    assert p.sorted_desc == tuple(sorted(values, reverse=True))
+    assert peak <= 2.5 * retained
 
 
 @given(citation_lists)
