@@ -37,7 +37,7 @@ from .geometry import (
     trendline_applicable,
 )
 from .parse import ParseError, parse_citations
-from .plot import emit_plot_svg
+from .plot import emit_plot_svg, svg_chunks  # bench/tracing.py draws by cli_io.emit_plot_svg
 from .scaling import InvalidSize, UnknownMethod, format_benchmark_report, run_benchmark
 
 
@@ -249,7 +249,10 @@ def _cmd_plot(args) -> int:
         _, fit = estimate_h_via_trendline(profile)
     elif args.trendline == "auto":
         fit, _ = _gated_trendline(profile)
-    Path(args.output).write_bytes(emit_plot_svg(profile, trace, fit))
+    # Everything that can raise runs here, before open() truncates the file.
+    chunks = svg_chunks(profile, trace, fit)
+    with open(args.output, "wb") as out:
+        out.writelines(chunks)
     return EXIT_OK
 
 

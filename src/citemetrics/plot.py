@@ -4,6 +4,7 @@ the minimum-distance segment."""
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .core import CitationProfile
@@ -36,7 +37,17 @@ def plot_scales(profile: CitationProfile) -> tuple[float, float]:
 def emit_plot_svg(
     profile: CitationProfile, trace: GeometricTrace, fit: LineFit | None = None
 ) -> bytes:
-    """Render the geometric construction as a standalone SVG document.
+    """Render the geometric construction as a standalone SVG document:
+    the chunks of ``svg_chunks``, joined."""
+    return b"".join(svg_chunks(profile, trace, fit))
+
+
+def svg_chunks(
+    profile: CitationProfile, trace: GeometricTrace, fit: LineFit | None = None
+) -> Iterator[bytes]:
+    """The SVG document of the geometric construction, as an iterator over
+    its byte chunks: the head, the polyline's points in ``_CHUNK``-vertex
+    chunks, and the tail.
 
     Contains the identity (journal number) line, the citation polyline,
     the trendline with a marker at its exact identity crossing
@@ -46,6 +57,11 @@ def emit_plot_svg(
     min(x_max, y_max): a fit can cross y = x beyond the frame (a flat
     profile of three papers cited 10 times crosses at 10). Output is
     deterministic: identical inputs give identical bytes.
+
+    Everything that can raise (``EmptyProfile``, the scales, the trendline
+    span, the marker or segment) runs before this returns; iterating only
+    formats vertices. So a caller can open its output file after the call
+    and write the chunks as they come.
     """
     if profile.n == 0:
         raise EmptyProfile("cannot plot an empty profile")
@@ -129,21 +145,26 @@ def emit_plot_svg(
         f'font-size="12" font-family="sans-serif">{y_max:.0f}</text>'
     )
     parts.append("</svg>\n")
-    return b"".join([head, *_points(profile.sorted_desc), "\n".join(parts).encode("ascii")])
+    tail = "\n".join(parts).encode("ascii")
+    return chain((head,), _points(profile.sorted_desc), (tail,))
 
 
-# Vertices per chunk of the points attribute: the document is joined once,
-# from bytes, and only one chunk's vertex strings are alive at a time.
+# Vertices per chunk of the points attribute: a caller that writes the
+# chunks as they come holds one chunk's bytes and numbers at a time.
 _CHUNK = 8192
 
 
 def _points(sorted_desc: tuple[int, ...]) -> Iterator[bytes]:
-    """The polyline's "rank,citations" vertices, space-separated, in chunks."""
+    """The polyline's "rank,citations" vertices, space-separated, in chunks,
+    each formatted by one % over its ranks and counts interleaved."""
     for lo in range(0, len(sorted_desc), _CHUNK):
         if lo:
             yield b" "
-        vertices = zip(range(lo + 1, lo + _CHUNK + 1), sorted_desc[lo : lo + _CHUNK])
-        yield b" ".join(map(b"%d,%d".__mod__, vertices))
+        counts = sorted_desc[lo : lo + _CHUNK]
+        flat = [0] * (2 * len(counts))
+        flat[0::2] = range(lo + 1, lo + len(counts) + 1)
+        flat[1::2] = counts
+        yield (b"%d,%d " * len(counts))[:-1] % tuple(flat)
 
 
 def _visible_span(fit: LineFit, x_max: float, y_max: float) -> tuple[float, float]:

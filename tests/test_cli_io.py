@@ -820,8 +820,10 @@ def _svg_chunk_profile(n):
     return profile([rng.randint(0, 2 * n) for _ in range(n)])
 
 
-def test_svg_documents_are_pinned_across_chunk_edges():
+def test_svg_documents_are_pinned_across_chunk_edges(tmp_path):
+    # emit_plot_svg, and the file `plot` writes chunk by chunk
     assert plot._CHUNK == 8192
+    path, out = tmp_path / "in.csv", tmp_path / "out.svg"
     for key, digests in _SVG_SHA256.items():
         p = profile(FIXTURES[key]) if isinstance(key, str) else _svg_chunk_profile(key)
         _, fit = estimate_h_via_trendline(p)
@@ -829,6 +831,12 @@ def test_svg_documents_are_pinned_across_chunk_edges():
             assert cli_io._gated_trendline(p)[0] == fit
         trace = geometric_h_index(p)[1]
         assert tuple(hashlib.sha256(emit_plot_svg(p, trace, f)).hexdigest() for f in (None, fit)) == digests
+        path.write_bytes(b"".join(b"%d\n" % c for c in p.sorted_desc))
+        written = []
+        for mode in ("off", "on"):
+            assert cli_io.main(["plot", "--input", str(path), "--output", str(out), "--trendline", mode]) == 0
+            written.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert tuple(written) == digests
 
 
 def test_svg_peak_memory_stays_near_its_output():
@@ -838,6 +846,21 @@ def test_svg_peak_memory_stays_near_its_output():
     svg, peak, _ = traced_memory(emit_plot_svg, p, geometric_h_index(p)[1])
     assert svg.count(b",") == 100_000
     assert peak <= 3 * len(svg)
+
+
+@pytest.mark.parametrize("n", [100_000, 300_000])
+def test_plot_writes_its_svg_in_bounded_memory(monkeypatch, tmp_path, n):
+    # everything `plot` does after the read: the fit, the gate and the SVG,
+    # written chunk by chunk. Built whole, the document and its chunks made
+    # 2.0x its length, 2.48 MB at n = 100k; the bound does not grow with n.
+    p = _svg_chunk_profile(n)
+    monkeypatch.setattr(cli_io, "_read_profile", lambda args: p)
+    out = tmp_path / "out.svg"
+    args = cli_io.build_parser().parse_args(["plot", "--input", "unread", "--output", str(out)])
+    code, peak, _ = traced_memory(cli_io._cmd_plot, args)
+    assert code == 0 and out.read_bytes().count(b",") == n
+    assert 'stroke="olive"' in out.read_text()
+    assert peak <= 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1028,21 @@ def test_cli_plot_trendline_modes(a1_csv, tmp_path):
     run_cli("plot", "--input", str(a1_csv), "--output", str(off), "--trendline", "off")
     assert "olive" in auto.read_text()
     assert "olive" not in off.read_text()
+    # on forces the fit that auto leaves out when the gate fails (A4: a drop of 198 > 4)
+    a4 = tmp_path / "a4.csv"
+    a4.write_bytes(b"".join(b"%d\n" % c for c in A4))
+    for mode, drawn in (("auto", False), ("on", True)):
+        out = tmp_path / f"a4-{mode}.svg"
+        proc = run_cli("plot", "--input", str(a4), "--output", str(out), "--trendline", mode)
+        assert proc.returncode == 0, proc.stderr
+        assert ('stroke="olive"' in out.read_text()) is drawn
+    # one paper: no line to fit, and no file is made
+    one, out = tmp_path / "one.csv", tmp_path / "one.svg"
+    one.write_bytes(b"7\n")
+    proc = run_cli("plot", "--input", str(one), "--output", str(out), "--trendline", "on")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: need at least 2 papers, got 1\n"
+    assert not out.exists()
 
 
 def test_cli_plot_empty_profile_exits_1(tmp_path):
@@ -1012,6 +1050,16 @@ def test_cli_plot_empty_profile_exits_1(tmp_path):
     empty.write_bytes(b"")
     proc = run_cli("plot", "--input", str(empty), "--output", str(tmp_path / "x.svg"))
     assert proc.returncode == 1
+    # a failed plot leaves an existing output file as it was
+    out = tmp_path / "kept.svg"
+    out.write_bytes(b"<svg>earlier</svg>\n")
+    malformed, one = tmp_path / "bad.csv", tmp_path / "one.csv"
+    malformed.write_bytes(b"10\nbanana\n")
+    one.write_bytes(b"7\n")
+    for path, mode in ((empty, "auto"), (empty, "on"), (malformed, "auto"), (one, "on")):
+        proc = run_cli("plot", "--input", str(path), "--output", str(out), "--trendline", mode)
+        assert proc.returncode == 1 and proc.stderr.startswith("error: "), (path.name, mode)
+        assert out.read_bytes() == b"<svg>earlier</svg>\n"
 
 
 def test_cli_bench(tmp_path):

@@ -4,6 +4,9 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from citemetrics import (
     DegenerateFit,
     EmptyProfile,
     GeometricCase,
+    build_report,
+    emit_report,
     estimate_h_via_trendline,
     geometric_h_index,
     h_index_oracle,
@@ -21,7 +26,8 @@ from citemetrics import (
     trendline_applicable,
     vertical_distances,
 )
-from citemetrics.geometry import classify_profile
+from citemetrics.geometry import R_SQUARED_GATE, classify_profile
+from citemetrics.plot import svg_chunks
 from conftest import A1, A2, A3, A4, A5, profile, random_profiles
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
@@ -451,3 +457,79 @@ arithmetic_progressions = st.builds(
 @given(st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=120) | arithmetic_progressions)
 def test_fast_paths_match_references(values):
     _check_against_references(values)
+
+
+# ---------------------------------------------------------------------------
+# every small profile
+
+# Every non-increasing profile of 1.._SMALL_N papers with counts 0.._SMALL_MAX.
+_SMALL_N, _SMALL_MAX = 7, 9
+
+# The smallest profile (fewest papers, then fewest citations, then the
+# lowest counts rank by rank) that fires each geometric rule and each
+# outcome of the trendline gate (the drop clause judged first), with its h.
+# The README prints the same table.
+_SMALLEST_WITNESSES = {
+    "i.a": ((1,), 1),
+    "ii.a": ((2, 0), 1),
+    "iii.b": ((3, 1, 0), 1),
+    "iii.c": ((2, 0, 0), 1),
+    "entirely above": ((2,), 1),
+    "entirely below": ((0,), 0),
+    "drop > n": ((3, 0), 1),
+    "r² < 0.95": ((1, 0, 0), 1),
+    "gate passes": ((0, 0), 0),
+}
+
+
+def _gate_outcome(sd):
+    """The gate judged in exact integers: r^2 >= 0.95 is 20 cxy^2 >= 19 cxx cyy,
+    with cxx, cxy, cyy the centred sums times n. (outcome, exact r^2 clause)."""
+    n = len(sd)
+    xs = range(1, n + 1)
+    cxx = n * sum(x * x for x in xs) - sum(xs) ** 2
+    cxy = n * sum(x * y for x, y in zip(xs, sd)) - sum(xs) * sum(sd)
+    cyy = n * sum(y * y for y in sd) - sum(sd) ** 2
+    r2_passes = 20 * cxy * cxy >= 19 * cxx * cyy
+    if max(map(sub, sd, sd[1:])) > n:
+        return "drop > n", r2_passes
+    return ("gate passes" if r2_passes else "r² < 0.95"), r2_passes
+
+
+def test_every_small_profile():
+    witnesses, float_differs = {}, []
+    for n in range(1, _SMALL_N + 1):
+        for sd in combinations_with_replacement(range(_SMALL_MAX, -1, -1), n):
+            trace = _check_against_references(sd)
+            p = normalize_profile(sd)
+            report = build_report(p)
+            assert report.agreement
+            h = report.results[0].h
+            assert f'"h": {h},'.encode() in emit_report(report, "json")
+            assert f"\nh-index: {h}\n".encode() in emit_report(report, "text")
+            rules = [trace.postulate if trace.postulate != "n/a" else trace.case.value.replace("_", " ")]
+            fit = None
+            if n >= 2:
+                outcome, r2_passes = _gate_outcome(sd)
+                fitted = estimate_h_via_trendline(p)[1]
+                if (fitted.r_squared >= R_SQUARED_GATE) != r2_passes:
+                    float_differs.append(sd)
+                if trendline_applicable(p, fitted):
+                    fit = fitted
+                assert (fit is not None) == (outcome == "gate passes")
+                rules.append(outcome)
+            assert b"".join(svg_chunks(p, trace, fit)).endswith(b"</svg>\n")
+            key = (n, sum(sd), sd)
+            for rule in rules:
+                if rule not in witnesses or key < witnesses[rule][0]:
+                    witnesses[rule] = key, (sd, h)
+    assert float_differs == []  # the float gate decides as the exact one on every profile
+    assert {rule: found for rule, (_, found) in witnesses.items()} == _SMALLEST_WITNESSES
+
+
+def test_readme_prints_the_smallest_witnesses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| ")]
+    for rule, (sd, h) in _SMALLEST_WITNESSES.items():
+        cells = f" | {', '.join(map(str, sd))} | {h} |"
+        assert [row for row in rows if row.startswith(f"| {rule} | ") and row.endswith(cells)], rule
