@@ -15,6 +15,7 @@ from .core import (
     Method,
     NegativeCitation,
     NonIntegerCitation,
+    UnknownMethod,
     h_index_counting,
     h_index_oracle,
     h_index_sort_scan,
@@ -34,12 +35,11 @@ from .geometry import (
     trendline_applicable,
     vertical_distances,
 )
-from .parse import DuplicatePaperId, ParseError, emit_citations_json, parse_citations
+from .parse import DuplicatePaperId, ParseError, parse_citations
 from .plot import emit_plot_svg
 from .scaling import (
     BenchmarkRow,
     InvalidSize,
-    UnknownMethod,
     format_benchmark_report,
     generate_citations,
     run_benchmark,
@@ -69,7 +69,6 @@ __all__ = [
     "Point2",
     "UnknownMethod",
     "build_report",
-    "emit_citations_json",
     "emit_plot_svg",
     "emit_report",
     "estimate_h_via_trendline",

@@ -1,9 +1,9 @@
 """The metrics report (JSON or plain text) and the command-line interface.
 
 The CLI reads counts through ``parse``, draws through ``plot`` and times
-through ``scaling``. ``build_report``, ``_gated_trendline`` and
-``_cmd_plot`` call the methods, the trendline fit and its gate by the
-names this module imports, so that a tracer can wrap them here.
+through ``scaling``. ``build_report`` and ``_gated_trendline`` look up the
+methods, the trendline fit and its gate by the names this module imports,
+on every call, so that a tracer can wrap them here.
 """
 
 from __future__ import annotations
@@ -13,16 +13,18 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     CitationProfile,
     HIndexResult,
     InputError,
     Method,
+    UnknownMethod,
+    check_methods,
     h_index_counting,
     h_index_oracle,
     h_index_sort_scan,
@@ -38,7 +40,7 @@ from .geometry import (
 )
 from .parse import ParseError, parse_citations
 from .plot import emit_plot_svg, svg_chunks  # bench/tracing.py draws by cli_io.emit_plot_svg
-from .scaling import InvalidSize, UnknownMethod, format_benchmark_report, run_benchmark
+from .scaling import InvalidSize, format_benchmark_report, run_benchmark
 
 
 # ---------------------------------------------------------------------------
@@ -47,22 +49,23 @@ from .scaling import InvalidSize, UnknownMethod, format_benchmark_report, run_be
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """All method results for one profile, ready for serialization.
+    """The results of the methods that ran on one profile, ready to emit.
 
-    ``profile`` is the one source of n and the count summary. ``agreement``
-    must be true on every real input; a false value is a defect in this
-    package and is surfaced loudly (CLI exit code 2), never silently. It is
-    stored, not derived from ``results``, so a view that keeps one method's
-    result still carries the verdict over all four. The report holds no
-    trendline: the text report fits and gates one from ``profile`` when it
-    renders, and the JSON report never fits one. ``trace`` is absent for
-    n = 0.
+    ``profile`` is the one source of n and the count summary. ``trace`` is
+    absent when the geometric method did not run, or for n = 0. The report
+    holds no trendline: the text report fits and gates one from ``profile``
+    when it renders a trace, and the JSON report never fits one.
     """
 
     profile: CitationProfile = field(repr=False)
     results: tuple[HIndexResult, ...]
     trace: GeometricTrace | None
-    agreement: bool
+
+    @property
+    def agreement(self) -> bool:
+        """Whether every method that ran returned the same h, trivially so for one. False on
+        a real input is a defect in this package, surfaced loudly (CLI exit code 2)."""
+        return len({r.h for r in self.results}) == 1
 
 
 def _gated_trendline(profile: CitationProfile) -> tuple[LineFit | None, int | None]:
@@ -74,21 +77,23 @@ def _gated_trendline(profile: CitationProfile) -> tuple[LineFit | None, int | No
     return None, None
 
 
-def build_report(profile: CitationProfile) -> MetricsReport:
-    """Compute every method on the profile and bundle the results."""
-    geometric, trace = geometric_h_index(profile)
-    results = (
-        h_index_sort_scan(profile),
-        h_index_counting(profile),
-        h_index_oracle(profile),
-        geometric,
-    )
-    return MetricsReport(
-        profile=profile,
-        results=results,
-        trace=trace,
-        agreement=len({r.h for r in results}) == 1,
-    )
+def build_report(profile: CitationProfile, methods: Iterable[Method] = tuple(Method)) -> MetricsReport:
+    """Run each given method once, in order, and bundle the results; the
+    geometric trace is built only when Method.GEOMETRIC is among them. The
+    list is checked (UnknownMethod) before any method runs, and each method
+    is looked up by its name in this module on every call.
+    """
+    methods = check_methods(methods, "report methods")
+    algebraic = {Method.SORT_SCAN: h_index_sort_scan, Method.COUNTING: h_index_counting,
+                 Method.ORACLE: h_index_oracle}
+    results, trace = [], None
+    for method in methods:
+        if method is Method.GEOMETRIC:
+            result, trace = geometric_h_index(profile)
+        else:
+            result = algebraic[method](profile)
+        results.append(result)
+    return MetricsReport(profile=profile, results=tuple(results), trace=trace)
 
 
 def _headline_h(report: MetricsReport) -> int:
@@ -154,8 +159,8 @@ def _report_text(report: MetricsReport) -> str:
         lines.append(f"  {result.method.value}: {result.h}")
     lines.append(f"agreement: {'yes' if report.agreement else 'NO (methods disagree, this is a bug)'}")
     trace = report.trace
-    if trace is None:
-        lines.append("geometry: n/a (empty profile)")
+    if trace is None:  # no geometric method ran, or n = 0: nothing to fit either
+        lines.append("geometry: n/a")
     else:
         lines.append(f"case: {trace.case.value}")
         lines.append(f"postulate: {trace.postulate}")
@@ -168,15 +173,13 @@ def _report_text(report: MetricsReport) -> str:
             argmin = trace.argmin_index
             lines.append(f"distances: ranks {lo}-{lo + len(gaps) - 1}: " + ", ".join(map(str, gaps)))
             lines.append(f"min distance: {gaps[argmin - lo]} at journal {argmin}")
-    fit, estimate = _gated_trendline(report.profile)
-    if fit is not None:
-        lines.append(
-            f"trendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})"
-        )
-        lines.append(f"trendline estimate: {estimate}")
-        # Never negative: the intercept is at least the mean count, the slope at most 0.
-        crossing = _fmt6_exact(fit.crossing)
-        lines.append(f"trendline intersection: ({crossing}, {crossing})")
+        fit, estimate = _gated_trendline(report.profile)
+        if fit is not None:
+            lines.append(f"trendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})")
+            lines.append(f"trendline estimate: {estimate}")
+            # Never negative: the intercept is at least the mean count, the slope at most 0.
+            crossing = _fmt6_exact(fit.crossing)
+            lines.append(f"trendline intersection: ({crossing}, {crossing})")
     return "\n".join(lines) + "\n"
 
 
@@ -224,13 +227,9 @@ def _replay_line(report: MetricsReport) -> str:
 
 
 def _cmd_compute(args) -> int:
-    profile = _read_profile(args)
-    report = build_report(profile)
-    view = report
-    if args.method != "all":
-        wanted = _METHOD_TOKENS[args.method]
-        view = replace(report, results=tuple(r for r in report.results if r.method is wanted))
-    sys.stdout.buffer.write(emit_report(view, args.output))
+    methods = tuple(Method) if args.method == "all" else (_METHOD_TOKENS[args.method],)
+    report = build_report(_read_profile(args), methods)
+    sys.stdout.buffer.write(emit_report(report, args.output))
     sys.stdout.buffer.flush()
     if not report.agreement:
         print("error: h-index methods disagree; this is a bug in citemetrics", file=sys.stderr)

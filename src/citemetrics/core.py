@@ -65,6 +65,21 @@ class Method(Enum):
     GEOMETRIC = "geometric"
 
 
+class UnknownMethod(InputError):
+    """A method name that no algorithm answers to."""
+
+
+def check_methods(methods: Iterable[Method], what: str) -> tuple[Method, ...]:
+    """The methods as a tuple if they are one or more distinct Method members, else UnknownMethod."""
+    checked = tuple(methods)
+    if not checked:
+        raise UnknownMethod(f"no {what} given")
+    for i, method in enumerate(checked):
+        if not isinstance(method, Method) or method in checked[:i]:
+            raise UnknownMethod(f"unknown or repeated method: {method}")
+    return checked
+
+
 @dataclass(frozen=True)
 class CitationProfile:
     """Per-paper citation counts of one author, validated by normalize_profile.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -140,7 +139,3 @@ def _parse_json(data: bytes) -> list:
         raise ParseError("document", "expected a flat JSON array of citation counts")
     return parsed
 
-
-def emit_citations_json(values: Iterable[int]) -> bytes:
-    """Serialize counts in the JSON input format; parse_citations reverses this."""
-    return (json.dumps(list(values)) + "\n").encode("utf-8")

@@ -29,8 +29,8 @@ _DISTANCE_COLOR = "red"
 
 def plot_scales(profile: CitationProfile) -> tuple[float, float]:
     """Data-domain extents (x_max, y_max) of a non-empty profile's plot."""
-    x_max = float(max(profile.n, 1))
-    y_max = float(max(profile.sorted_desc[0], profile.n, 1))
+    x_max = float(profile.n)
+    y_max = float(max(profile.sorted_desc[0], profile.n))
     return x_max, y_max
 
 

@@ -11,15 +11,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import InputError, Method, _h_counting, _h_definition_scan, _h_scan_ascending, normalize_profile
+from .core import UnknownMethod, check_methods  # re-exported: scaling.UnknownMethod
 from .geometry import geometric_h_index
 
 
 class InvalidSize(InputError):
     """Benchmark sizes must be positive integers."""
-
-
-class UnknownMethod(InputError):
-    """A method name that no algorithm answers to."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +60,7 @@ def run_benchmark(
         raise InvalidSize(f"at least 5 timing runs required, got {runs}")
     if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
         raise InvalidSize(f"benchmark sizes must be one or more distinct integers >= 1, got {list(sizes)}")
-    method_list = list(methods)
-    if not method_list:
-        raise UnknownMethod("no benchmark methods given")
-    for i, method in enumerate(method_list):
-        if not isinstance(method, Method) or method in method_list[:i]:
-            raise UnknownMethod(f"unknown or repeated method: {method}")
+    method_list = check_methods(methods, "benchmark methods")
     rows = []
     for size in sizes:
         values = generate_citations(size, seed)

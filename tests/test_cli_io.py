@@ -38,7 +38,6 @@ from citemetrics import (
     ParseError,
     UnknownMethod,
     build_report,
-    emit_citations_json,
     emit_plot_svg,
     emit_report,
     estimate_h_via_trendline,
@@ -175,7 +174,7 @@ def test_parse_json_negative_count():
 
 @given(citation_lists)
 def test_json_round_trip(values):
-    assert parse_citations(emit_citations_json(values), "json") == values
+    assert parse_citations(json.dumps(values).encode(), "json") == values
 
 
 # Naive count checks, element by element: type, then sign, in file order;
@@ -582,7 +581,7 @@ def test_report_deterministic():
 def test_cli_disagreement_prints_a_replay_line(monkeypatch, a1_csv, capsysbinary):
     counting = cli_io.h_index_counting
     monkeypatch.setattr(cli_io, "h_index_counting", lambda p: HIndexResult(counting(p).h + 1, Method.COUNTING))
-    assert cli_io.main(["compute", "--input", str(a1_csv), "--method", "oracle"]) == 2
+    assert cli_io.main(["compute", "--input", str(a1_csv)]) == 2
     err = capsysbinary.readouterr().err.decode()
     digest = hashlib.sha256(b"".join(b"%d\n" % c for c in sorted(A1, reverse=True))).hexdigest()
     replay = f"disagreement: n=11 sort_scan=5 counting=6 oracle=5 geometric=5 sha256={digest}\n"
@@ -600,14 +599,72 @@ def test_disagreement_is_surfaced_not_hidden():
     # the agreement flag reflects whatever the results say; a hand-built
     # mismatch (impossible from real inputs) must show up loudly
     report = build_report(profile(A1))
-    broken = replace(
-        report,
-        results=report.results[:3] + (HIndexResult(99, Method.GEOMETRIC),),
-        agreement=False,
-    )
+    broken = replace(report, results=report.results[:3] + (HIndexResult(99, Method.GEOMETRIC),))
     payload = json.loads(emit_report(broken, "json"))
     assert payload["agreement"] is False
     assert "disagree" in emit_report(broken, "text").decode()
+
+
+_TRACED = (
+    "h_index_sort_scan",
+    "h_index_counting",
+    "h_index_oracle",
+    "geometric_h_index",
+    "estimate_h_via_trendline",
+    "trendline_applicable",
+)
+
+
+def test_report_calls_each_traced_name_once(monkeypatch):
+    # The benchmark's tracer wraps these cli_io globals and counts the calls
+    # of each; build_report and the text report must look them up there.
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in _TRACED:
+        monkeypatch.setattr(cli_io, name, counted(name, getattr(cli_io, name)))
+    report = build_report(profile(A1))
+    assert calls == dict.fromkeys(_TRACED[:4], 1)
+    calls.clear()
+    emit_report(report, "text")
+    assert calls == dict.fromkeys(_TRACED[4:], 1)
+    calls.clear()
+    one = build_report(profile(A1), (Method.COUNTING,))
+    emit_report(one, "text")
+    assert calls == {"h_index_counting": 1} and one.trace is None
+
+
+def test_report_of_one_method():
+    report = build_report(profile(A1), (Method.ORACLE,))
+    assert report.results == (HIndexResult(5, Method.ORACLE),) and report.agreement
+    payload = json.loads(emit_report(report, "json"))
+    assert list(payload) == REPORT_KEYS
+    assert payload["methods"] == {"oracle": 5} and payload["h"] == 5 and payload["agreement"] is True
+    assert [payload[key] for key in ("case", "postulate", "intersection", "distances")] == [None] * 4
+    # no trace: one geometry line and no trendline, as for an empty profile
+    assert emit_report(report, "text").endswith(b"\nagreement: yes\ngeometry: n/a\n")
+    assert emit_report(build_report(profile([])), "text").endswith(b"\nagreement: yes\ngeometry: n/a\n")
+    # the methods run, and are listed, in the order given
+    both = build_report(profile(A1), (Method.GEOMETRIC, Method.COUNTING))
+    assert [r.method for r in both.results] == [Method.GEOMETRIC, Method.COUNTING] and both.trace is not None
+
+
+def _not_asked(profile):
+    raise AssertionError("a method that was not asked for ran")
+
+
+def test_build_report_checks_the_method_list_before_running_any(monkeypatch):
+    monkeypatch.setattr(cli_io, "h_index_counting", _not_asked)
+    for methods in ((), (Method.COUNTING, "counting"), (Method.COUNTING, Method.COUNTING)):
+        with pytest.raises(UnknownMethod):
+            build_report(profile(A1), methods)
+    assert scaling.UnknownMethod is UnknownMethod
 
 
 @settings(max_examples=50)
@@ -990,6 +1047,16 @@ def test_cli_compute_single_method(a1_csv):
     assert payload["agreement"] is True
 
 
+def test_cli_compute_runs_only_the_method_asked_for(monkeypatch, a1_csv, capsysbinary):
+    for name in ("h_index_sort_scan", "h_index_oracle", "geometric_h_index"):
+        monkeypatch.setattr(cli_io, name, _not_asked)
+    assert cli_io.main(["compute", "--input", str(a1_csv), "--method", "count"]) == 0
+    out = capsysbinary.readouterr().out
+    assert json.loads(out)["methods"] == {"counting": 5} and b'\n  "case": null,\n' in out
+    assert cli_io.main(["compute", "--input", str(a1_csv), "--method", "count", "--output", "text"]) == 0
+    assert capsysbinary.readouterr().out.endswith(b"\n  counting: 5\nagreement: yes\ngeometry: n/a\n")
+
+
 def test_cli_compute_json_input(tmp_path):
     path = tmp_path / "a3.json"
     path.write_bytes(b"[4, 3, 2, 1]")
@@ -1131,7 +1198,7 @@ def test_cli_geometric_agrees_at_the_count_maximum(tmp_path):
 def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path, capsysbinary):
     # neither does a report: both show a window read from sorted_desc
     path = tmp_path / "a4.json"
-    path.write_bytes(emit_citations_json(A4))
+    path.write_bytes(json.dumps(A4).encode())
 
     def no_table(sorted_desc):
         raise AssertionError("the distance table was built")
