@@ -103,27 +103,12 @@ def _headline_h(report: MetricsReport) -> int:
     return report.results[0].h
 
 
-# Ranks shown on each side of the minimum-distance argmin.
-_WINDOW_RADIUS = 5
-
-
-def _distance_window(report: MetricsReport) -> dict | None:
-    """{"first_rank": lo, "gaps": [...]}: the gaps |citations - rank| at the
-    ranks within _WINDOW_RADIUS of the argmin, clipped to 1..n; None unless
-    the minimum-distance case fired.
-
-    The argmin is k or k + 1, where citations - rank changes sign, so the
-    window holds both straddle ranks and shows |g| falling to the argmin
-    and rising after it. Read from ``sorted_desc``: no report builds the
-    n-entry table, which ``vertical_distances(profile)`` returns.
-    """
-    trace = report.trace
-    if trace is None or trace.argmin_index is None:
+def _distance_window(trace: GeometricTrace | None) -> dict | None:
+    """The trace's window of gaps as {"first_rank": lo, "gaps": [...]};
+    None unless the minimum-distance case fired."""
+    if trace is None or trace.distances is None:
         return None
-    sd = report.profile.sorted_desc
-    lo = max(1, trace.argmin_index - _WINDOW_RADIUS)
-    hi = min(len(sd), trace.argmin_index + _WINDOW_RADIUS)
-    return {"first_rank": lo, "gaps": [abs(c - rank) for rank, c in zip(range(lo, hi + 1), sd[lo - 1 : hi])]}
+    return {"first_rank": trace.first_rank, "gaps": list(trace.distances)}
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -137,7 +122,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "case": trace.case.value if trace is not None else None,
         "postulate": trace.postulate if trace is not None else None,
         "intersection": [float(crossing)] * 2 if crossing is not None else None,
-        "distances": _distance_window(report),
+        "distances": _distance_window(trace),
         "agreement": report.agreement,
     }
 
@@ -167,10 +152,8 @@ def _report_text(report: MetricsReport) -> str:
         if trace.crossing is not None:
             crossing = _fmt6_exact(trace.crossing)
             lines.append(f"intersection: ({crossing}, {crossing})")
-        window = _distance_window(report)
-        if window is not None:
-            lo, gaps = window["first_rank"], window["gaps"]
-            argmin = trace.argmin_index
+        if trace.distances is not None:
+            lo, gaps, argmin = trace.first_rank, trace.distances, trace.argmin_index
             lines.append(f"distances: ranks {lo}-{lo + len(gaps) - 1}: " + ", ".join(map(str, gaps)))
             lines.append(f"min distance: {gaps[argmin - lo]} at journal {argmin}")
         fit, estimate = _gated_trendline(report.profile)

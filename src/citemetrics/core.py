@@ -143,14 +143,15 @@ def _h_counting(values: Sequence[int]) -> int:
 
     Counts above n clamp into bucket n, safe because h never exceeds n.
     The suffix sweep finds the largest h with at least h papers cited
-    h or more times. No sorting anywhere, so worst-case work is O(n).
+    h or more times, down to h = 1; when none qualifies, h = 0. No
+    sorting anywhere, so worst-case work is O(n).
     """
     n = len(values)
     counts = [0] * (n + 1)
     for c in values:
         counts[c if c < n else n] += 1
     cumulative = 0
-    for h in range(n, -1, -1):
+    for h in range(n, 0, -1):
         cumulative += counts[h]
         if cumulative >= h:
             return h

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice, pairwise
+from itertools import count, islice, pairwise
 from operator import mul, sub
 from typing import Iterator, Sequence
 
@@ -99,31 +98,32 @@ class GeometricTrace:
     intersection, so "i.a" subsumes it.
 
     ``crossing``, the exact abscissa of the intersection (x, x) with y = x,
-    is present exactly for the two intersection cases; ``distances`` (the
-    integer gaps |citations - rank| at every rank) and ``argmin_index``
-    exactly for the minimum-distance case, with argmin_index (1-based)
-    pointing at a true minimum. The n-entry table is computed from
-    ``sorted_desc`` on the first read of ``distances``, for library
-    callers only: the reports show a window of gaps around argmin_index
-    read from the profile, and the plot draws one segment, so no command
-    builds it.
+    is present exactly for the two intersection cases; ``argmin_index``
+    (1-based, pointing at a true minimum of the gaps |citations - rank|),
+    ``first_rank`` and ``distances`` exactly for the minimum-distance
+    case. ``distances`` is the window of gaps at ranks ``first_rank``,
+    ``first_rank`` + 1, ... within WINDOW_RADIUS of the argmin, clipped to
+    1..n: at most 11 gaps, the evidence the reports show. No trace holds
+    the counts; ``vertical_distances(profile)`` returns the full table.
     """
 
     case: GeometricCase
     postulate: str
-    sorted_desc: tuple[int, ...] = field(repr=False)
     crossing: Fraction | None = None
     argmin_index: int | None = None
-
-    @cached_property
-    def distances(self) -> tuple[int, ...] | None:
-        if self.case is not GeometricCase.NO_CROSSING_MIN_DISTANCE:
-            return None
-        return tuple(_gaps(self.sorted_desc))
+    first_rank: int | None = None
+    distances: tuple[int, ...] | None = None
 
 
-def _gaps(sorted_desc: Sequence[int]) -> Iterator[int]:
-    return map(abs, map(sub, sorted_desc, range(1, len(sorted_desc) + 1)))
+# Ranks shown on each side of the minimum-distance argmin. The argmin is k
+# or k + 1, where citations - rank changes sign, so the window holds both
+# straddle ranks and shows the gaps falling to the argmin and rising after.
+WINDOW_RADIUS = 5
+
+
+def _gaps(counts: Sequence[int], first_rank: int = 1) -> Iterator[int]:
+    """|citations - rank| for counts at ranks first_rank, first_rank + 1, ..."""
+    return map(abs, map(sub, counts, count(first_rank)))
 
 
 def vertical_distances(profile: CitationProfile) -> list[int]:
@@ -157,10 +157,11 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
       -> FRACTIONAL_INTERSECTION with the interpolated crossing ("ii.a"),
       h = the floor of that exact crossing (a float crossing can round up
       to the next rank); a curvilinear polyline is not treated as a line,
-      so the trace reports the vertical-distance table and its argmin
-      instead -> NO_CROSSING_MIN_DISTANCE. |g| falls up to k and rises
-      after it, so the argmin is k ("iii.c") when |g(k)| <= |g(k+1)|, else
-      k+1 ("iii.b"); a tie goes to k, the rank above the identity line.
+      so the trace reports the argmin of the vertical distances and the
+      window of them around it instead -> NO_CROSSING_MIN_DISTANCE. |g|
+      falls up to k and rises after it, so the argmin is k ("iii.c") when
+      |g(k)| <= |g(k+1)|, else k+1 ("iii.b"); a tie goes to k, the rank
+      above the identity line.
       h = the argmin, minus one when its count lies below the identity.
 
     An empty profile yields h = 0 with no trace. Agrees with the
@@ -174,23 +175,25 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
     k = bisect_right(range(n), 0, key=lambda i: i + 1 - sd[i])
 
     if k and sd[k - 1] == k:
-        h, trace = k, GeometricTrace(GeometricCase.INTEGER_INTERSECTION, "i.a", sd, crossing=Fraction(k))
+        h, trace = k, GeometricTrace(GeometricCase.INTEGER_INTERSECTION, "i.a", crossing=Fraction(k))
     elif k == n:
-        h, trace = n, GeometricTrace(GeometricCase.ENTIRELY_ABOVE, "n/a", sd)
+        h, trace = n, GeometricTrace(GeometricCase.ENTIRELY_ABOVE, "n/a")
     elif k == 0:
-        h, trace = 0, GeometricTrace(GeometricCase.ENTIRELY_BELOW, "n/a", sd)
+        h, trace = 0, GeometricTrace(GeometricCase.ENTIRELY_BELOW, "n/a")
     elif _is_collinear(sd):
         rise = 1 - (sd[k] - sd[k - 1])  # >= 2: the step is <= -1 on a straddling segment
         crossing = k + Fraction(sd[k - 1] - k, rise)  # strictly inside (k, k+1)
         h = math.floor(crossing)
-        trace = GeometricTrace(GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", sd, crossing=crossing)
+        trace = GeometricTrace(GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", crossing=crossing)
     else:
         if sd[k - 1] - k <= k + 1 - sd[k]:
             argmin, label = k, "iii.c"
         else:
             argmin, label = k + 1, "iii.b"
         h = argmin - 1 if sd[argmin - 1] < argmin else argmin
-        trace = GeometricTrace(GeometricCase.NO_CROSSING_MIN_DISTANCE, label, sd, argmin_index=argmin)
+        lo, hi = max(1, argmin - WINDOW_RADIUS), min(n, argmin + WINDOW_RADIUS)
+        trace = GeometricTrace(GeometricCase.NO_CROSSING_MIN_DISTANCE, label, argmin_index=argmin,
+                               first_rank=lo, distances=tuple(_gaps(sd[lo - 1 : hi], lo)))
     return HIndexResult(h, Method.GEOMETRIC), trace
 
 

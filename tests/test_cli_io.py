@@ -1196,25 +1196,35 @@ def test_cli_geometric_agrees_at_the_count_maximum(tmp_path):
 
 
 def test_plot_never_builds_the_distance_table(monkeypatch, tmp_path, capsysbinary):
-    # neither does a report: both show a window read from sorted_desc
-    path = tmp_path / "a4.json"
-    path.write_bytes(json.dumps(A4).encode())
+    # nor does a report or the trace: 300000 // rank has its argmin at 547 of
+    # 1000 ranks, and each geometric run formats only the 11 gaps around it
+    values = [300_000 // rank for rank in range(1, 1001)]
+    p = profile(values)
+    path = tmp_path / "p.json"
+    path.write_bytes(json.dumps(values).encode())
+    formatted, gaps = [], geometry._gaps
 
-    def no_table(sorted_desc):
-        raise AssertionError("the distance table was built")
+    def recording_gaps(counts, *args):
+        formatted.append(len(counts))
+        return gaps(counts, *args)
 
-    monkeypatch.setattr(geometry, "_gaps", no_table)
-    out = tmp_path / "a4.svg"
+    monkeypatch.setattr(geometry, "_gaps", recording_gaps)
+    trace = geometric_h_index(p)[1]
+    out = tmp_path / "p.svg"
     assert cli_io.main(["plot", "--input", str(path), "--format", "json", "--output", str(out)]) == 0
     assert 'stroke="red"' in out.read_text()  # the minimum-distance segment is still drawn
     compute = ["compute", "--input", str(path), "--format", "json", "--output"]
     assert cli_io.main([*compute, "json"]) == 0
-    assert json.loads(capsysbinary.readouterr().out)["distances"] == {"first_rank": 1, "gaps": [399, 298, 197, 2]}
+    shown = json.loads(capsysbinary.readouterr().out)["distances"]
     assert cli_io.main([*compute, "text"]) == 0
-    assert b"\ndistances: ranks 1-4: 399, 298, 197, 2\nmin distance: 2 at journal 4\n" in capsysbinary.readouterr().out
+    text = capsysbinary.readouterr().out
+    assert formatted == [11] * 4  # one window per geometric run
     monkeypatch.undo()
-    report = build_report(profile(A4))
-    assert report.trace.distances is report.trace.distances  # the library's lazy table is built once
+    lo, hi = trace.first_rank, trace.first_rank + len(trace.distances) - 1
+    assert (trace.argmin_index, lo, hi) == (547, 542, 552)
+    assert trace.distances == tuple(vertical_distances(p)[lo - 1 : hi])
+    assert shown == {"first_rank": 542, "gaps": [11, 9, 7, 5, 3, 1, 1, 3, 5, 7, 9]}
+    assert b"\ndistances: ranks 542-552: 11, 9, 7, 5, 3, 1, 1, 3, 5, 7, 9\nmin distance: 1 at journal 547\n" in text
 
 
 def test_report_stays_small_at_100k_papers():

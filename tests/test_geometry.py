@@ -168,11 +168,12 @@ def test_trace_shape_invariants(values):
     )
     has_distances = trace.distances is not None
     assert has_distances == (trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE)
-    assert (trace.argmin_index is not None) == has_distances
+    assert (trace.argmin_index is not None) == has_distances == (trace.first_rank is not None)
     if has_distances:
-        minimum = min(trace.distances)
-        assert trace.distances[trace.argmin_index - 1] == minimum
-        assert all(type(d) is int and d >= 0 for d in trace.distances)
+        lo, window = trace.first_rank, trace.distances
+        assert 1 <= lo <= trace.argmin_index < lo + len(window) and len(window) <= 11
+        assert window[trace.argmin_index - lo] == min(window)
+        assert all(type(d) is int and d >= 0 for d in window)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +406,16 @@ def _reference_fit(sd):
 def _check_against_references(values):
     p = normalize_profile(values)
     trace = geometric_h_index(p)[1]
-    got = (trace.case, trace.postulate, trace.crossing, trace.distances, trace.argmin_index)
-    assert got == _reference_trace(p.sorted_desc)
-    if trace.distances is not None:
+    case, postulate, crossing, table, argmin = _reference_trace(p.sorted_desc)
+    window = lo = None
+    if table is not None:
+        # the trace holds the gaps within 5 ranks of the argmin; the library returns them all
+        lo, hi = max(1, argmin - 5), min(p.n, argmin + 5)
+        window = table[lo - 1 : hi]
+        assert vertical_distances(p) == list(table)
         assert all(type(d) is int for d in trace.distances)
+    got = (trace.case, trace.postulate, trace.crossing, trace.distances, trace.argmin_index, trace.first_rank)
+    assert got == (case, postulate, crossing, window, argmin, lo)
     if p.n >= 2:
         estimate, fit = estimate_h_via_trendline(p)
         got = (fit.slope, fit.intercept, fit.r_squared, estimate, fit.crossing)
@@ -462,9 +469,6 @@ def test_fast_paths_match_references(values):
 # ---------------------------------------------------------------------------
 # every small profile
 
-# Every non-increasing profile of 1.._SMALL_N papers with counts 0.._SMALL_MAX.
-_SMALL_N, _SMALL_MAX = 7, 9
-
 # The smallest profile (fewest papers, then fewest citations, then the
 # lowest counts rank by rank) that fires each geometric rule and each
 # outcome of the trendline gate (the drop clause judged first), with its h.
@@ -496,10 +500,16 @@ def _gate_outcome(sd):
     return ("gate passes" if r2_passes else "r² < 0.95"), r2_passes
 
 
-def test_every_small_profile():
+# Every non-increasing profile of 1..max_n papers with counts 0..max_count:
+# 19,447 profiles in tier-1, 75,581 in the slow tier (pytest -m slow).
+@pytest.mark.parametrize(
+    "max_n,max_count",
+    [pytest.param(7, 9, id="n7-max9"), pytest.param(8, 10, id="n8-max10", marks=pytest.mark.slow)],
+)
+def test_every_small_profile(max_n, max_count):
     witnesses, float_differs = {}, []
-    for n in range(1, _SMALL_N + 1):
-        for sd in combinations_with_replacement(range(_SMALL_MAX, -1, -1), n):
+    for n in range(1, max_n + 1):
+        for sd in combinations_with_replacement(range(max_count, -1, -1), n):
             trace = _check_against_references(sd)
             p = normalize_profile(sd)
             report = build_report(p)
