@@ -39,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice, pairwise
+from itertools import accumulate, count, islice, pairwise
 from operator import mul, sub
 from typing import Iterator, Sequence
 
@@ -213,6 +213,14 @@ def intersect_with_identity(fit: LineFit) -> Point2:
     return Point2(x, x)
 
 
+# Counts per block of the fit's sums and the gate's drop scan. After the
+# sort the int objects still sit on the heap in input order, so a scan of
+# sorted_desc misses the cache at almost every count. A block's first sum
+# overlaps those misses in one tight C loop and leaves its objects (about
+# 160 KiB) in L2 for the sums that follow.
+_BLOCK = 4096
+
+
 def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
     """Approximate h as the floor of the trendline's identity crossing,
     returned with the least-squares line through (rank, citations).
@@ -234,9 +242,15 @@ def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
     sd = profile.sorted_desc
     sx = n * (n + 1) // 2
     sxx = n * (n + 1) * (2 * n + 1) // 6
-    sy = sum(sd)
-    sxy = sum(map(mul, range(1, n + 1), sd))
-    syy = sum(map(mul, sd, sd))
+    sy = sxy = syy = 0
+    for lo in range(0, n, _BLOCK):
+        block = sd[lo : lo + _BLOCK]
+        s = sum(block)
+        sy += s
+        # over the m = len(block) counts at ranks lo + 1 .. lo + m, the sum of
+        # rank * count is (lo + m + 1) * s less the sum of the prefix sums
+        sxy += (lo + len(block) + 1) * s - sum(accumulate(block))
+        syy += sum(map(mul, block, block))
     # n times the centred sums of squares and products; n cancels below.
     cxx = n * sxx - sx * sx
     cxy = n * sxy - sx * sy
@@ -266,8 +280,17 @@ def trendline_applicable(profile: CitationProfile, fit: LineFit) -> bool:
     ones, but passing it does not certify the estimate (see tests for a
     pinned divergence case).
     """
-    if profile.n < 2:
+    n = profile.n
+    if n < 2 or fit.r_squared < R_SQUARED_GATE:
         return False
     sd = profile.sorted_desc
-    max_drop = max(map(sub, sd, islice(sd, 1, None)))
-    return fit.r_squared >= R_SQUARED_GATE and max_drop <= profile.n
+    # Blocks overlap by one count, so every adjacent pair lies in one. No
+    # drop in a block exceeds its whole drop, so a block that falls by at
+    # most n is skipped unread.
+    for lo in range(0, n - 1, _BLOCK):
+        hi = min(lo + _BLOCK, n - 1)
+        if sd[lo] - sd[hi] > n:
+            block = sd[lo : hi + 1]
+            if max(map(sub, block, islice(block, 1, None))) > n:
+                return False
+    return True

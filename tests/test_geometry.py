@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import sub
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics import (
+    CitationProfile,
     DegenerateFit,
     EmptyProfile,
     GeometricCase,
@@ -26,6 +28,7 @@ from citemetrics import (
     trendline_applicable,
     vertical_distances,
 )
+from citemetrics import geometry
 from citemetrics.geometry import R_SQUARED_GATE, classify_profile
 from citemetrics.plot import svg_chunks
 from conftest import A1, A2, A3, A4, A5, profile, random_profiles
@@ -417,12 +420,22 @@ def _check_against_references(values):
     got = (trace.case, trace.postulate, trace.crossing, trace.distances, trace.argmin_index, trace.first_rank)
     assert got == (case, postulate, crossing, window, argmin, lo)
     if p.n >= 2:
-        estimate, fit = estimate_h_via_trendline(p)
-        got = (fit.slope, fit.intercept, fit.r_squared, estimate, fit.crossing)
-        assert got == _reference_fit(p.sorted_desc)
-        point = intersect_with_identity(fit)
-        assert point.x == point.y == float(fit.crossing)
+        _check_fit_and_gate(p)
     return trace
+
+
+def _check_fit_and_gate(p):
+    """The fit against _reference_fit, and the gate against its rule read
+    naively, with the reference's r^2. Returns the fit."""
+    estimate, fit = estimate_h_via_trendline(p)
+    reference = _reference_fit(p.sorted_desc)
+    assert (fit.slope, fit.intercept, fit.r_squared, estimate, fit.crossing) == reference
+    sd = p.sorted_desc
+    naive = reference[2] >= R_SQUARED_GATE and max(a - b for a, b in zip(sd, sd[1:])) <= p.n
+    assert trendline_applicable(p, fit) == naive
+    point = intersect_with_identity(fit)
+    assert point.x == point.y == float(fit.crossing)
+    return fit
 
 
 def _mixed_profiles(seed, count, max_n=200):
@@ -444,6 +457,59 @@ def test_fast_paths_match_references_seeded_sweep():
     for values in _mixed_profiles(seed=5309, count=10_000):
         seen[_check_against_references(values).postulate] += 1
     assert set(seen) == {"i.a", "ii.a", "iii.b", "iii.c", "n/a"}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_fit_and_gate_blocks_match_references_at_every_edge(monkeypatch, size):
+    # The fit sums and the gate scans the counts in blocks of
+    # geometry._BLOCK; tiny blocks put an edge between most counts.
+    monkeypatch.setattr(geometry, "_BLOCK", size)
+    for values in _mixed_profiles(seed=5309, count=10_000):
+        _check_against_references(values)
+
+
+def _falling(n, at, drop):
+    """n counts that fall by 1 from rank to rank, except by ``drop`` between
+    0-based positions at and at + 1."""
+    return [n - j + (drop - 1 if j <= at else 0) for j in range(n)]
+
+
+class _Slices(tuple):
+    """Counts that record each slice taken of them."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.taken.append(key)
+        return super().__getitem__(key)
+
+
+def _gate_on_drops(sd):
+    """(gate outcome, slices of the counts taken) with the fit's r^2 raised
+    to 1, so that the drop clause alone decides."""
+    p = normalize_profile(sd)
+    fit = replace(_check_fit_and_gate(p), r_squared=1.0)
+    counts = _Slices(p.sorted_desc)
+    counts.taken = []
+    return trendline_applicable(CitationProfile(counts), fit), len(counts.taken)
+
+
+def test_gate_blocks_at_the_real_size():
+    # Drops of n + 1 (the gate fails) and of exactly n (it passes) at a
+    # block's last pair, across a boundary, at the next block's first pair
+    # and at the profile's last pair. Only the block holding the drop is
+    # sliced; a block whose counts fall by at most n is skipped.
+    block = geometry._BLOCK
+    for n in (block - 1, block, block + 1, 2 * block + 1):
+        for at in sorted({0, block - 2, block - 1, block, n - 2} & set(range(n - 1))):
+            for drop in (n + 1, n):
+                sd = _falling(n, at, drop)
+                assert max(map(sub, sd, sd[1:])) == drop
+                assert _gate_on_drops(sd) == (drop == n, 1)
+        assert _gate_on_drops(_falling(n, 0, 1)) == (True, 0)
+    # one block that falls by exactly n
+    sd = _falling(block + 1, block // 2, 2)
+    assert sd[0] - sd[-1] == block + 1
+    assert _gate_on_drops(sd) == (True, 0)
 
 
 def test_min_distance_tie_goes_to_the_rank_above():
