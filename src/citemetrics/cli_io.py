@@ -31,7 +31,6 @@ from .core import (
     normalize_profile,
 )
 from .geometry import (
-    EmptyProfile,
     GeometricTrace,
     LineFit,
     estimate_h_via_trendline,
@@ -158,7 +157,7 @@ def _report_text(report: MetricsReport) -> str:
             lines.append(f"min distance: {gaps[argmin - lo]} at journal {argmin}")
         fit, estimate = _gated_trendline(report.profile)
         if fit is not None:
-            lines.append(f"trendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})")
+            lines.append(f"trendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {float(fit.r_squared):.6f})")
             lines.append(f"trendline estimate: {estimate}")
             # Never negative: the intercept is at least the mean count, the slope at most 0.
             crossing = _fmt6_exact(fit.crossing)
@@ -224,8 +223,6 @@ def _cmd_compute(args) -> int:
 def _cmd_plot(args) -> int:
     profile = _read_profile(args)
     _, trace = geometric_h_index(profile)
-    if trace is None:
-        raise EmptyProfile("cannot plot an empty profile")
     fit = None
     if args.trendline == "on":
         _, fit = estimate_h_via_trendline(profile)

@@ -69,7 +69,7 @@ class LineFit:
 
     slope: float
     intercept: float
-    r_squared: float
+    r_squared: Fraction
     crossing: Fraction
 
     def predict(self, x: float) -> float:
@@ -226,15 +226,15 @@ def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
     returned with the least-squares line through (rank, citations).
 
     The fit comes from exact integer sums. Ranks are 1..n, so their sums
-    have closed forms. Every float below is one int/int quotient, which
-    Python rounds correctly. r_squared is Sxy^2 / (Sxx * Syy), defined as
-    1 for a zero-variance y (a horizontal fit through identical values is
-    exact). The counts do not increase, so the slope is never positive and
-    the intercept is at least the mean count: the crossing is never
-    negative. It can pass n (three papers cited 10 times cross at 10), so
-    the estimate is capped at n. Only trustworthy for near-linear
-    profiles; combine with trendline_applicable. Raises DegenerateFit for
-    fewer than two papers.
+    have closed forms. The slope and intercept are each one int/int
+    quotient, which Python rounds correctly. r_squared stays exact: the
+    Fraction Sxy^2 / (Sxx * Syy), 1 for a zero-variance y (a horizontal
+    fit through identical values is exact). The counts do not increase,
+    so the slope is never positive and the intercept is at least the
+    mean count: the crossing is never negative. It can pass n (three
+    papers cited 10 times cross at 10), so the estimate is capped at n.
+    Only trustworthy for near-linear profiles; combine with
+    trendline_applicable. Raises DegenerateFit for fewer than two papers.
     """
     n = profile.n
     if n < 2:
@@ -259,7 +259,7 @@ def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
     fit = LineFit(
         slope=cxy / cxx,
         intercept=top / cxx,
-        r_squared=cxy * cxy / (cxx * cyy) if cyy else 1.0,
+        r_squared=Fraction(cxy * cxy, cxx * cyy) if cyy else Fraction(1),
         # Non-increasing counts give cxy <= 0, so the divisor is positive.
         crossing=Fraction(top, cxx - cxy),
     )
@@ -267,18 +267,18 @@ def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:
 
 
 # Minimum variance explained for the straight-line story to be credible.
-R_SQUARED_GATE = 0.95
+R_SQUARED_GATE = Fraction(19, 20)
 
 
 def trendline_applicable(profile: CitationProfile, fit: LineFit) -> bool:
     """Gate for trusting the trendline estimate on this profile.
 
-    Requires r_squared >= 0.95 and no single rank-to-rank drop larger
-    than the paper count; a cliff that size means the profile is
-    curvilinear no matter how good the global fit looks. The gate is a
-    heuristic: it accepts near-linear profiles and rejects curvilinear
-    ones, but passing it does not certify the estimate (see tests for a
-    pinned divergence case).
+    Requires the fit's exact r_squared to be at least 19/20, compared as
+    Fractions, and no single rank-to-rank drop larger than the paper
+    count; a cliff that size means the profile is curvilinear no matter
+    how good the global fit looks. The gate is a heuristic: it accepts
+    near-linear profiles and rejects curvilinear ones, but passing it does
+    not certify the estimate (see tests for a pinned divergence case).
     """
     n = profile.n
     if n < 2 or fit.r_squared < R_SQUARED_GATE:

@@ -506,7 +506,7 @@ def test_json_report_never_fits_the_trendline(monkeypatch):
     for renders in (1, 2):  # each text render fits exactly once
         text = emit_report(report, "text").decode()
         assert len(calls) == renders
-        assert f"\ntrendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {fit.r_squared:.6f})\n" in text
+        assert f"\ntrendline: y = {fit.slope:.6f}x + {fit.intercept:.6f} (r^2 = {float(fit.r_squared):.6f})\n" in text
         assert "\ntrendline estimate: 5\n" in text
 
 
@@ -1123,7 +1123,7 @@ def test_cli_plot_empty_profile_exits_1(tmp_path):
     malformed, one = tmp_path / "bad.csv", tmp_path / "one.csv"
     malformed.write_bytes(b"10\nbanana\n")
     one.write_bytes(b"7\n")
-    for path, mode in ((empty, "auto"), (empty, "on"), (malformed, "auto"), (one, "on")):
+    for path, mode in ((empty, "auto"), (empty, "on"), (empty, "off"), (malformed, "auto"), (one, "on")):
         proc = run_cli("plot", "--input", str(path), "--output", str(out), "--trendline", mode)
         assert proc.returncode == 1 and proc.stderr.startswith("error: "), (path.name, mode)
         assert out.read_bytes() == b"<svg>earlier</svg>\n"

@@ -26,7 +26,7 @@ citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=20
 # normalize_profile
 
 
-def test_normalize_keeps_raw_and_sorts_descending():
+def test_normalize_sorts_descending_and_counts_papers():
     p = normalize_profile(A1)
     assert p.sorted_desc == (10, 9, 8, 8, 7, 5, 4, 3, 2, 1, 1)
     assert p.n == 11

@@ -29,6 +29,7 @@ from citemetrics import (
     vertical_distances,
 )
 from citemetrics import geometry
+from citemetrics.cli_io import main
 from citemetrics.geometry import R_SQUARED_GATE, classify_profile
 from citemetrics.plot import svg_chunks
 from conftest import A1, A2, A3, A4, A5, profile, random_profiles
@@ -382,7 +383,8 @@ def _reference_trace(sd):
         crossing = Fraction(sd[0] - step, 1 - step)
         return GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", crossing, None, None
     distances = tuple(abs(g) for g in gaps)
-    at_minimum = [rank for rank in range(1, n + 1) if distances[rank - 1] == min(distances)]
+    nearest = min(distances)
+    at_minimum = [rank for rank in range(1, n + 1) if distances[rank - 1] == nearest]
     # a tie goes to the rank whose point is above the identity line
     above = [rank for rank in at_minimum if gaps[rank - 1] > 0]
     argmin = (above or at_minimum)[0]
@@ -403,7 +405,7 @@ def _reference_fit(sd):
     r_squared = sxy * sxy / (sxx * syy) if syy else Fraction(1)
     crossing = intercept / (1 - slope)
     estimate = min(max(math.floor(crossing), 0), n)
-    return float(slope), float(intercept), float(r_squared), estimate, crossing
+    return float(slope), float(intercept), r_squared, estimate, crossing
 
 
 def _check_against_references(values):
@@ -487,7 +489,7 @@ def _gate_on_drops(sd):
     """(gate outcome, slices of the counts taken) with the fit's r^2 raised
     to 1, so that the drop clause alone decides."""
     p = normalize_profile(sd)
-    fit = replace(_check_fit_and_gate(p), r_squared=1.0)
+    fit = replace(_check_fit_and_gate(p), r_squared=Fraction(1))
     counts = _Slices(p.sorted_desc)
     counts.taken = []
     return trendline_applicable(CitationProfile(counts), fit), len(counts.taken)
@@ -510,6 +512,23 @@ def test_gate_blocks_at_the_real_size():
     sd = _falling(block + 1, block // 2, 2)
     assert sd[0] - sd[-1] == block + 1
     assert _gate_on_drops(sd) == (True, 0)
+
+
+def test_fit_and_gate_match_references_at_the_real_block_size():
+    # One count past one and two whole blocks, with each gate outcome: a
+    # drop at the last pair of the first block, or in the middle of the
+    # profile, and a seeded random profile.
+    block = geometry._BLOCK
+    rng = random.Random(8191)
+    outcomes = set()
+    for n in (block + 1, 2 * block + 1):
+        drops = ((0, 1), (block - 1, n), (block - 1, n + 1), (n // 2, 3))
+        profiles = [_falling(n, at, drop) for at, drop in drops]
+        profiles.append([rng.randint(0, 2 * n) for _ in range(n)])
+        for values in profiles:
+            _check_against_references(values)
+            outcomes.add(_gate_outcome(sorted(values, reverse=True)))
+    assert outcomes == {"drop > n", "r² < 0.95", "gate passes"}
 
 
 def test_min_distance_tie_goes_to_the_rank_above():
@@ -552,18 +571,23 @@ _SMALLEST_WITNESSES = {
 }
 
 
-def _gate_outcome(sd):
-    """The gate judged in exact integers: r^2 >= 0.95 is 20 cxy^2 >= 19 cxx cyy,
-    with cxx, cxy, cyy the centred sums times n. (outcome, exact r^2 clause)."""
+def _centred_sums(sd):
+    """(cxx, cxy, cyy): the centred sums of squares and products of
+    (rank, count), each times n."""
     n = len(sd)
     xs = range(1, n + 1)
     cxx = n * sum(x * x for x in xs) - sum(xs) ** 2
     cxy = n * sum(x * y for x, y in zip(xs, sd)) - sum(xs) * sum(sd)
     cyy = n * sum(y * y for y in sd) - sum(sd) ** 2
-    r2_passes = 20 * cxy * cxy >= 19 * cxx * cyy
-    if max(map(sub, sd, sd[1:])) > n:
-        return "drop > n", r2_passes
-    return ("gate passes" if r2_passes else "r² < 0.95"), r2_passes
+    return cxx, cxy, cyy
+
+
+def _gate_outcome(sd):
+    """The gate judged in exact integers: r^2 >= 0.95 is 20 cxy^2 >= 19 cxx cyy."""
+    if max(map(sub, sd, sd[1:])) > len(sd):
+        return "drop > n"
+    cxx, cxy, cyy = _centred_sums(sd)
+    return "gate passes" if 20 * cxy * cxy >= 19 * cxx * cyy else "r² < 0.95"
 
 
 # Every non-increasing profile of 1..max_n papers with counts 0..max_count:
@@ -573,7 +597,7 @@ def _gate_outcome(sd):
     [pytest.param(7, 9, id="n7-max9"), pytest.param(8, 10, id="n8-max10", marks=pytest.mark.slow)],
 )
 def test_every_small_profile(max_n, max_count):
-    witnesses, float_differs = {}, []
+    witnesses = {}
     for n in range(1, max_n + 1):
         for sd in combinations_with_replacement(range(max_count, -1, -1), n):
             trace = _check_against_references(sd)
@@ -586,10 +610,8 @@ def test_every_small_profile(max_n, max_count):
             rules = [trace.postulate if trace.postulate != "n/a" else trace.case.value.replace("_", " ")]
             fit = None
             if n >= 2:
-                outcome, r2_passes = _gate_outcome(sd)
+                outcome = _gate_outcome(sd)
                 fitted = estimate_h_via_trendline(p)[1]
-                if (fitted.r_squared >= R_SQUARED_GATE) != r2_passes:
-                    float_differs.append(sd)
                 if trendline_applicable(p, fitted):
                     fit = fitted
                 assert (fit is not None) == (outcome == "gate passes")
@@ -599,8 +621,46 @@ def test_every_small_profile(max_n, max_count):
             for rule in rules:
                 if rule not in witnesses or key < witnesses[rule][0]:
                     witnesses[rule] = key, (sd, h)
-    assert float_differs == []  # the float gate decides as the exact one on every profile
     assert {rule: found for rule, (_, found) in witnesses.items()} == _SMALLEST_WITNESSES
+
+
+# 200 counts whose exact r^2 lies 9.6e-17 below 0.95 and rounds to 0.95 as
+# a float; no drop exceeds n, so only the r^2 clause can reject them.
+_R2_JUST_BELOW_GATE = (
+    20149, 19963, 19776, 19622, 19428, 19250, 19082, 18888, 18748, 18553, 18361, 18186, 17987,
+    17790, 17607, 17415, 17242, 17049, 16881, 16735, 16541, 16361, 16195, 16006, 15841, 15681,
+    15495, 15305, 15153, 15022, 14841, 14654, 14458, 14281, 14151, 14101, 13914, 13725, 13563,
+    13396, 13216, 13143, 13012, 12834, 12680, 12567, 12371, 12325, 12142, 11948, 11788, 11599,
+    11428, 11234, 11041, 10918, 10765, 10684, 10501, 10393, 10208, 10104, 10077, 10047, 9913, 9779,
+    9652, 9490, 9294, 9164, 8967, 8909, 8730, 8595, 8492, 8321, 8187, 8149, 7999, 7929, 7787, 7679,
+    7597, 7507, 7346, 7162, 7134, 6970, 6784, 6706, 6600, 6436, 6379, 6295, 6193, 6170, 6121, 5973,
+    5958, 5827, 5664, 5500, 5437, 5273, 5139, 5003, 5002, 4895, 4830, 4823, 4684, 4499, 4489, 4437,
+    4284, 4244, 4094, 4019, 3884, 3857, 3835, 3766, 3646, 3455, 3340, 3322, 3271, 3196, 3116, 3084,
+    2933, 2768, 2694, 2635, 2590, 2526, 2522, 2508, 2379, 2360, 2256, 2135, 2129, 2112, 2073, 1905,
+    1871, 1859, 1757, 1740, 1716, 1697, 1695, 1559, 1532, 1469, 1460, 1279, 1133, 1126, 1047, 1001,
+    1000, 997, 974, 906, 871, 864, 793, 668, 664, 651, 648, 645, 627, 592, 525, 520, 438, 404, 366,
+    365, 328, 278, 227, 225, 207, 204, 199, 177, 170, 144, 133, 120, 97, 79, 69, 66, 53, 0,
+)
+
+
+def test_gate_decides_r_squared_exactly(tmp_path):
+    sd = _R2_JUST_BELOW_GATE
+    p = normalize_profile(sd)
+    assert p.sorted_desc == sd and p.n == 200
+    assert max(map(sub, sd, sd[1:])) == 199
+    cxx, cxy, cyy = _centred_sums(sd)
+    assert 20 * cxy * cxy - 19 * cxx * cyy == -370_000
+    fit = estimate_h_via_trendline(p)[1]
+    assert float(fit.r_squared) == 0.95
+    assert _gate_outcome(sd) == "r² < 0.95"
+    assert not trendline_applicable(p, fit)
+    assert b"trendline" not in emit_report(build_report(p), "text")
+    counts = tmp_path / "counts.csv"
+    counts.write_text("\n".join(map(str, sd)) + "\n")
+    for mode, drawn in (("auto", False), ("on", True)):
+        svg = tmp_path / f"{mode}.svg"
+        assert main(["plot", "--input", str(counts), "--output", str(svg), "--trendline", mode]) == 0
+        assert (b'stroke="olive"' in svg.read_bytes()) == drawn, mode
 
 
 def test_readme_prints_the_smallest_witnesses():
