@@ -49,13 +49,21 @@ _BOM = b"\xef\xbb\xbf"
 _SLICE = 1 << 16
 
 
+def _excerpt(cell: str) -> str:
+    """The cell as an error message quotes it: whole up to 40 characters,
+    else its first 20 and its length, so one bad cell stays one short line."""
+    if len(cell) <= 40:
+        return repr(cell)
+    return f"{cell[:20]!r}... ({len(cell)} characters)"
+
+
 def _parse_count(cell: str, lineno: int) -> int:
     try:
         if not _COUNT_CELL.fullmatch(cell):
             raise ValueError(cell)
         return int(cell)  # raises past the interpreter's digit limit
     except ValueError:
-        raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
+        raise ParseError(f"line {lineno}", f"not an integer citation count: {_excerpt(cell)}") from None
 
 
 def _parse_plain(data: bytes, start: int) -> list[int]:
@@ -117,7 +125,7 @@ def _parse_two_column(body: list[str]) -> list[int]:
             raise ParseError(f"line {lineno}", "empty paper_id")
         if paper_id in seen:
             raise DuplicatePaperId(
-                f"line {lineno}", f"paper_id {paper_id!r} already appeared on line {seen[paper_id]}"
+                f"line {lineno}", f"paper_id {_excerpt(paper_id)} already appeared on line {seen[paper_id]}"
             )
         seen[paper_id] = lineno
         values.append(_parse_count(count_cell, lineno))

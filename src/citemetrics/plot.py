@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Iterator
 
 from .core import CitationProfile
-from .geometry import EmptyProfile, GeometricCase, GeometricTrace, LineFit
+from .geometry import EmptyProfile, GeometricTrace, LineFit
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 480
@@ -25,13 +25,6 @@ _CITATIONS_COLOR = "brown"
 _TRENDLINE_COLOR = "olive"
 _MARKER_COLOR = "black"
 _DISTANCE_COLOR = "red"
-
-
-def plot_scales(profile: CitationProfile) -> tuple[float, float]:
-    """Data-domain extents (x_max, y_max) of a non-empty profile's plot."""
-    x_max = float(profile.n)
-    y_max = float(max(profile.sorted_desc[0], profile.n))
-    return x_max, y_max
 
 
 def emit_plot_svg(
@@ -53,19 +46,19 @@ def svg_chunks(
     the trendline with a marker at its exact identity crossing
     (``fit.crossing``) when a fit is given, otherwise a marker at the
     trace's ``crossing`` or a vertical segment showing the minimum-distance
-    gap. A marker is drawn only where the identity line is drawn, up to
-    min(x_max, y_max): a fit can cross y = x beyond the frame (a flat
+    gap. A marker is drawn only up to x = n, where y = x reaches the
+    frame's right edge: a fit can cross y = x beyond the frame (a flat
     profile of three papers cited 10 times crosses at 10). Output is
     deterministic: identical inputs give identical bytes.
 
-    Everything that can raise (``EmptyProfile``, the scales, the trendline
-    span, the marker or segment) runs before this returns; iterating only
-    formats vertices. So a caller can open its output file after the call
-    and write the chunks as they come.
+    Everything that can raise (``EmptyProfile``, the trendline span, the
+    marker or segment) runs before this returns; iterating only formats
+    vertices. So a caller can open its output file after the call and
+    write the chunks as they come.
     """
     if profile.n == 0:
         raise EmptyProfile("cannot plot an empty profile")
-    x_max, y_max = plot_scales(profile)
+    x_max, y_max = profile.n, max(profile.sorted_desc[0], profile.n)
 
     # The one data-to-pixel transform: the polyline carries it as its SVG
     # matrix, and px places the few single points with the same factors.
@@ -92,8 +85,7 @@ def svg_chunks(
         f'fill="none" stroke="#444444" stroke-width="1"/>'
     )
 
-    identity_reach = min(x_max, y_max)
-    parts.append(segment(0, 0, identity_reach, identity_reach, _IDENTITY_COLOR))
+    parts.append(segment(0, 0, x_max, x_max, _IDENTITY_COLOR))
 
     # Vertices are the exact (rank, citations) pairs; the stroke keeps its
     # 2 px width under the anisotropic matrix.
@@ -113,11 +105,10 @@ def svg_chunks(
 
     marker = fit.crossing if fit is not None else trace.crossing
     if marker is None:
-        if trace.case is GeometricCase.NO_CROSSING_MIN_DISTANCE:
-            j = trace.argmin_index
-            cited = profile.sorted_desc[j - 1]
-            parts.append(segment(j, j, j, cited, _DISTANCE_COLOR, dash="4 3"))
-    elif marker <= identity_reach:
+        j = trace.argmin_index
+        if j is not None:
+            parts.append(segment(j, j, j, profile.sorted_desc[j - 1], _DISTANCE_COLOR, dash="4 3"))
+    elif marker <= x_max:
         mx, my = px(float(marker), float(marker))
         parts.append(f'<circle cx="{mx:.2f}" cy="{my:.2f}" r="4" fill="{_MARKER_COLOR}"/>')
 
@@ -138,11 +129,11 @@ def svg_chunks(
     )
     parts.append(
         f'<text x="{SVG_WIDTH - _MARGIN_RIGHT}" y="{axis_y}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{x_max:.0f}</text>'
+        f'font-size="12" font-family="sans-serif">{x_max}</text>'
     )
     parts.append(
         f'<text x="{_MARGIN_LEFT - 8}" y="{_MARGIN_TOP + 5}" text-anchor="end" '
-        f'font-size="12" font-family="sans-serif">{y_max:.0f}</text>'
+        f'font-size="12" font-family="sans-serif">{y_max}</text>'
     )
     parts.append("</svg>\n")
     tail = "\n".join(parts).encode("ascii")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import InputError, Method, _h_counting, _h_definition_scan, _h_scan_ascending, normalize_profile
-from .core import UnknownMethod, check_methods  # re-exported: scaling.UnknownMethod
+from .core import check_methods
 from .geometry import geometric_h_index
 
 
@@ -40,7 +40,7 @@ def generate_citations(size: int, seed: int) -> list[int]:
 # need one, and the geometric route runs the full classification.
 _BENCH_PIPELINES = {
     Method.SORT_SCAN: lambda values: _h_scan_ascending(sorted(values)),
-    Method.COUNTING: lambda values: _h_counting(values),
+    Method.COUNTING: _h_counting,
     Method.ORACLE: lambda values: _h_definition_scan(sorted(values, reverse=True)),
     Method.GEOMETRIC: lambda values: geometric_h_index(normalize_profile(values))[0].h,
 }

@@ -17,6 +17,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +60,6 @@ from citemetrics.plot import (
     _MARGIN_LEFT,
     _MARGIN_RIGHT,
     SVG_WIDTH,
-    plot_scales,
 )
 from citemetrics.scaling import format_benchmark_report
 from conftest import A1, A1_CSV, A2, A3, A4, A5, FIXTURES, profile, traced_memory
@@ -254,13 +254,19 @@ def test_parse_json_fast_path_matches_reference_seeded_sweep():
 _REFERENCE_CELL = re.compile(r"-?[0-9]+")
 
 
+def _reference_quote(cell):
+    # a message quotes a cell whole up to 40 characters, else its first 20
+    # characters and its length
+    return repr(cell) if len(cell) <= 40 else f"{cell[:20]!r}... ({len(cell)} characters)"
+
+
 def _reference_count(cell, lineno):
     try:
         if not _REFERENCE_CELL.fullmatch(cell):
             raise ValueError(cell)
         return int(cell)
     except ValueError:
-        raise ParseError(f"line {lineno}", f"not an integer citation count: {cell!r}") from None
+        raise ParseError(f"line {lineno}", f"not an integer citation count: {_reference_quote(cell)}") from None
 
 
 def _reference_parse_csv(data):
@@ -283,7 +289,7 @@ def _reference_parse_csv(data):
                 raise ParseError(f"line {lineno}", "empty paper_id")
             if paper_id in seen:
                 raise DuplicatePaperId(
-                    f"line {lineno}", f"paper_id {paper_id!r} already appeared on line {seen[paper_id]}"
+                    f"line {lineno}", f"paper_id {_reference_quote(paper_id)} already appeared on line {seen[paper_id]}"
                 )
             seen[paper_id] = lineno
             values.append(_reference_count(count_cell, lineno))
@@ -340,6 +346,52 @@ def _csv_seeded_sweep():
 
 def test_parse_csv_fast_path_matches_reference_seeded_sweep():
     _csv_seeded_sweep()
+
+
+def test_parse_two_column_csv_matches_reference_seeded_sweep():
+    # headers in any case and spacing, and ids from a small alphabet, so that
+    # repeated and empty ids occur; mostly counts that parse, some that do not
+    rng = random.Random(3141)
+    ids = ("p1", "p2", "p3", "p4", "p5", " p1", "P1", "a b", "p" * 45)
+    counts = ("0", "1", "7", "42", "007", " 5 ", "9" * 45)
+    bad_counts = ("-3", "", "x", "1_0", "x" * 45, "\u0663", "2,3")
+    for _ in range(2_000):
+        header = "".join(rng.choice((c, c.upper())) for c in "paper_id") + rng.choice(("", " ", "\t"))
+        header += "," + rng.choice(("", " ")) + "".join(rng.choice((c, c.upper())) for c in "citations")
+        lines = [header]
+        for _ in range(rng.randint(0, 8)):
+            paper_id = rng.choice(("", "\xa0")) if rng.random() < 0.04 else rng.choice(ids)
+            count = rng.choice(bad_counts) if rng.random() < 0.04 else rng.choice(counts)
+            lines.append("" if rng.random() < 0.1 else f"{paper_id},{count}")
+        newline = "\r\n" if rng.random() < 0.3 else "\n"
+        _assert_csv_matches_reference(newline.join(lines) + rng.choice(("", newline)), bom=rng.random() < 0.2)
+
+
+def test_parse_two_column_empty_paper_id(tmp_path, capsys):
+    body = b"paper_id,citations\n,4\n"
+    with pytest.raises(ParseError, match="^line 2: empty paper_id$"):
+        parse_citations(body, "csv")
+    path = tmp_path / "empty_id.csv"
+    path.write_bytes(body)
+    assert cli_io.main(["compute", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 2: empty paper_id\n"
+
+
+def test_cli_long_cells_give_short_error_lines(tmp_path, capsys):
+    # one bad cell, however long, gives one short line on stderr
+    long_id = "p" * 100_000
+    for body, lineno in (
+        ("9" * 1_000_000 + "\n", 1),
+        ("paper_id,citations\np1," + "9" * 100_000 + "\n", 2),
+        (f"paper_id,citations\n{long_id},1\n{long_id},2\n", 3),
+        ("3\n" + "a" * 1_000_000 + "\n", 2),
+    ):
+        path = tmp_path / "long.csv"
+        path.write_text(body)
+        assert cli_io.main(["compute", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}: ") and len(err.encode()) < 200, err[:300]
+    assert err == "error: line 2: not an integer citation count: 'aaaaaaaaaaaaaaaaaaaa'... (1000000 characters)\n"
 
 
 def test_parse_csv_fast_path_edges():
@@ -664,7 +716,6 @@ def test_build_report_checks_the_method_list_before_running_any(monkeypatch):
     for methods in ((), (Method.COUNTING, "counting"), (Method.COUNTING, Method.COUNTING)):
         with pytest.raises(UnknownMethod):
             build_report(profile(A1), methods)
-    assert scaling.UnknownMethod is UnknownMethod
 
 
 @settings(max_examples=50)
@@ -678,14 +729,26 @@ def test_report_agreement_on_random_inputs(values):
 # SVG plots
 
 
+def _frame(p):
+    # the README's data extents: ranks 0..n across, counts 0..max(n, top count)
+    # up, so sx = 560 / n and sy = -410 / max(n, top count)
+    return p.n, max(p.sorted_desc[0], p.n)
+
+
 def _px_reference(x, y, x_max, y_max):
     # the data-to-pixel transform written out for one point, as the
     # polyline's vertices were placed when it was drawn in pixels
     return _MARGIN_LEFT + (x / x_max) * _FRAME_WIDTH, _FRAME_BOTTOM - (y / y_max) * _FRAME_HEIGHT
 
 
+def _identity_line_end(svg: str) -> tuple[float, float]:
+    # the blue y = x line starts at the frame's corner (0, 0)
+    line = re.search(r'<line x1="62.00" y1="428.00" x2="([0-9.]+)" y2="([0-9.]+)" stroke="blue"', svg)
+    return float(line.group(1)), float(line.group(2))
+
+
 def _data_x_of(px_value: float, p) -> float:
-    x_max, _ = plot_scales(p)
+    x_max, _ = _frame(p)
     return (px_value - _MARGIN_LEFT) / (SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT) * x_max
 
 
@@ -698,6 +761,8 @@ def test_svg_a1_with_trendline():
     assert svg.count("<circle") == 1
     cx = float(re.search(r'<circle cx="([0-9.]+)"', svg).group(1))
     assert _data_x_of(cx, p) == pytest.approx(5.633, abs=1e-3)
+    # y = x ends at (n, n) = (11, 11), the frame's corner (622, 18): top count 10 < n
+    assert _identity_line_end(svg) == pytest.approx(_px_reference(11, 11, *_frame(p)), abs=0.005)
     assert "Journal number" in svg and "Citations" in svg
     ET.fromstring(svg)  # well-formed XML
 
@@ -707,8 +772,7 @@ def test_svg_single_point_marker():
     _, trace = geometric_h_index(p)
     svg = emit_plot_svg(p, trace).decode()
     match = re.search(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', svg)
-    x_max, y_max = plot_scales(p)
-    expected = _px_reference(1, 1, x_max, y_max)
+    expected = _px_reference(1, 1, *_frame(p))
     assert (float(match.group(1)), float(match.group(2))) == pytest.approx(expected, abs=0.01)
 
 
@@ -717,9 +781,10 @@ def test_svg_a4_distance_segment():
     _, trace = geometric_h_index(p)
     svg = emit_plot_svg(p, trace).decode()
     assert svg.count("<circle") == 0
-    x_max, y_max = plot_scales(p)
-    top = _px_reference(4, 4, x_max, y_max)
-    bottom = _px_reference(4, 2, x_max, y_max)
+    top = _px_reference(4, 4, *_frame(p))
+    bottom = _px_reference(4, 2, *_frame(p))
+    # y = x ends at (n, n) = (4, 4), at (622, 423.9) on the right edge: top count 400 > n
+    assert _identity_line_end(svg) == pytest.approx(top, abs=0.005)
     segment = re.search(
         r'<line x1="{0:.2f}" y1="{1:.2f}" x2="{2:.2f}" y2="{3:.2f}" stroke="red"'.format(
             top[0], top[1], bottom[0], bottom[1]
@@ -820,9 +885,8 @@ def _assert_polyline_matches_reference(values):
     # drawn in pixels
     sx, sy, ex, ey = map(Fraction, _MATRIX.fullmatch(polyline.get("transform")).groups())
     assert ex.denominator == ey.denominator == 1
-    x_max, y_max = plot_scales(p)
     ranks = range(1, p.n + 1)
-    reference = [_px_reference(i, c, x_max, y_max) for i, c in zip(ranks, p.sorted_desc)]
+    reference = [_px_reference(i, c, *_frame(p)) for i, c in zip(ranks, p.sorted_desc)]
     _assert_lands_on_pixels(ex.numerator, sx, ranks, (x for x, _ in reference))
     _assert_lands_on_pixels(ey.numerator, sy, p.sorted_desc, (y for _, y in reference))
 
@@ -1071,6 +1135,16 @@ def test_cli_malformed_csv_exits_1(tmp_path):
     proc = run_cli("compute", "--input", str(path))
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+def test_console_script_target_is_main(a1_csv, capsysbinary):
+    # pyproject's [project.scripts] entry, read without tomllib (3.11+ only)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^citemetrics = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE).groups()
+    target = getattr(importlib.import_module(module), function)
+    assert target is cli_io.main
+    assert target(["compute", "--input", str(a1_csv)]) == 0
+    assert b'"h": 5' in capsysbinary.readouterr().out
 
 
 def test_cli_missing_file_exits_1(tmp_path):
