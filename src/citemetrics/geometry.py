@@ -43,7 +43,7 @@ from itertools import accumulate, count, islice, pairwise
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .core import CitationProfile, HIndexResult, InputError, Method
+from .core import _BLOCK, CitationProfile, HIndexResult, InputError, Method  # _BLOCK: see core
 
 
 class EmptyProfile(InputError):
@@ -211,14 +211,6 @@ def intersect_with_identity(fit: LineFit) -> Point2:
     rounded once to a float."""
     x = float(fit.crossing)
     return Point2(x, x)
-
-
-# Counts per block of the fit's sums and the gate's drop scan. After the
-# sort the int objects still sit on the heap in input order, so a scan of
-# sorted_desc misses the cache at almost every count. A block's first sum
-# overlaps those misses in one tight C loop and leaves its objects (about
-# 160 KiB) in L2 for the sums that follow.
-_BLOCK = 4096
 
 
 def estimate_h_via_trendline(profile: CitationProfile) -> tuple[int, LineFit]:

@@ -52,7 +52,7 @@ from citemetrics import (
 )
 from citemetrics import cli_io, geometry, parse, plot, scaling
 from citemetrics.cli_io import report_to_dict
-from citemetrics.core import MAX_CITATION
+from citemetrics.core import MAX_CITATION, _h_definition_scan
 from citemetrics.plot import (
     _FRAME_BOTTOM,
     _FRAME_HEIGHT,
@@ -1000,6 +1000,17 @@ def test_generate_citations_deterministic_and_in_range():
 def test_generate_citations_rejects_bad_size():
     with pytest.raises(InvalidSize):
         generate_citations(0, seed=1)
+
+
+def test_every_bench_pipeline_returns_the_oracle_h():
+    # run_benchmark keeps only timings, so check what each pipeline returns,
+    # at sizes on both sides of one and two blocks of counts.
+    for size in (1, 2, 4095, 4096, 4097, 8193):
+        for seed in (1, 2, 3):
+            values = generate_citations(size, seed)
+            h = _h_definition_scan(sorted(values, reverse=True))
+            for method in Method:
+                assert scaling._BENCH_PIPELINES[method](values) == h, (method, size, seed)
 
 
 def test_run_benchmark_rows():

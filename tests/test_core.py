@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics import (
+    CitationProfile,
     CitationTooLarge,
     Method,
     NegativeCitation,
@@ -17,7 +18,9 @@ from citemetrics import (
     h_index_sort_scan,
     normalize_profile,
 )
+from citemetrics import core, geometry
 from conftest import A1, EXPECTED_H, FIXTURES, profile, random_profiles, traced_memory
+from test_geometry import _mixed_profiles, _Slices
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=200)
 
@@ -214,3 +217,50 @@ def test_seeded_sweep_methods_agree():
         ho = h_index_oracle(p).h
         assert h_index_sort_scan(p).h == ho
         assert h_index_counting(p).h == ho
+
+
+# ---------------------------------------------------------------------------
+# block edges of counting and sort-scan
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_counting_and_sort_scan_blocks_match_the_oracle_at_every_edge(monkeypatch, size):
+    # Both read the counts in blocks of core._BLOCK, which geometry shares;
+    # tiny blocks put an edge between most counts, and most profiles then
+    # span several blocks, so the pre-touch runs too.
+    monkeypatch.setattr(core, "_BLOCK", size)
+    monkeypatch.setattr(geometry, "_BLOCK", size)
+    for values in _mixed_profiles(seed=5309, count=10_000):
+        p = normalize_profile(values)
+        assert h_index_sort_scan(p).h == h_index_counting(p).h == h_index_oracle(p).h
+
+
+def _blocked_h(method, sd):
+    """(h, lengths of the slices of the counts taken) of one method."""
+    counts = _Slices(sd)
+    counts.taken = []
+    h = method(CitationProfile(counts)).h
+    return h, [len(range(*key.indices(len(sd)))) for key in counts.taken]
+
+
+def test_counting_and_sort_scan_blocks_at_the_real_size():
+    # Sort-scan's exit at ascending positions B-2, B-1, B and B+1, and at
+    # h = n (position 0) and h = 0 (no exit: every block read). Counting
+    # reads every block; sort-scan reads blocks from the tail up to the one
+    # holding its exit, and neither takes a slice longer than a block.
+    block = core._BLOCK
+    for n in (block - 1, block, block + 1, 2 * block + 1):
+        blocks = -(-n // block)
+        for at in sorted({0, block - 2, block - 1, block, block + 1, n} & set(range(n + 1))):
+            h = n - at
+            # n counts of h, and h counts of h above n - h counts of h - 1
+            shapes = [[h] * n] + ([[h] * h + [h - 1] * (n - h)] if h else [])
+            for sd in shapes:
+                assert h_index_oracle(CitationProfile(tuple(sd))).h == h
+                h_scan, scan_slices = _blocked_h(h_index_sort_scan, sd)
+                assert h_scan == h
+                assert len(scan_slices) == (at // block + 1 if h else blocks)
+                h_count, count_slices = _blocked_h(h_index_counting, sd)
+                assert h_count == h
+                assert len(count_slices) == blocks
+                assert max(scan_slices + count_slices) <= block
