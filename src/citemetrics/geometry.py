@@ -2,36 +2,23 @@
 
 Plot journal rank on the x-axis and the descending citation counts on the
 y-axis. Two curves appear: the journal number line (the identity y = x)
-and the citation polyline through the points (rank, citations). How those
-curves meet decides the index:
+and the citation polyline through the points (rank, citations).
 
-* they touch at an integer point (some rank equals its citation count):
-  h is that coordinate;
-* the polyline is an exact straight line crossing the identity strictly
-  between integer ranks: h is the floor of the crossing abscissa;
-* the polyline is curvilinear (so it is not treated as a line at all):
-  take the vertical gap |citations - rank| at every rank, find the rank
-  with the minimum gap, and step down by one when its citation count sits
-  below the identity line;
-* the polyline never meets the identity line: h = n when every point is
-  above it, h = 0 when every point is below.
+citations[rank] - rank is strictly decreasing (citations are
+non-increasing, ranks increase by one), so the ranks on or above y = x
+are exactly 1..k, and one bisection finds k. That k is h. The paper's
+rules label how the curves meet: they touch at an integer point ("i.a"),
+an exactly straight polyline crosses between ranks ("ii.a"), a
+curvilinear one is judged by its minimum vertical gap ("iii.b"/"iii.c"),
+or it lies entirely above or below y = x. The tests apply each label's
+rule as the paper states it and check that it gives k. A touching point
+is also the rank of minimum gap, so "i.a" subsumes "iii.a".
 
-A touching point is also the rank of minimum gap (the gap there is 0), so
-the integer-intersection clause "i.a" subsumes the minimum-distance clause
-"iii.a" for a point on the identity line.
-
-A least-squares trendline offers an approximate fourth route for profiles
-that are nearly linear; an applicability gate decides when to trust it.
-The fit is computed from exact integer sums, and its estimate is the floor
-of the exact crossing with y = x.
-
-Everything rests on one observation: citations[rank] - rank is strictly
-decreasing (citations are non-increasing, ranks increase by one), so there
-is at most one touching rank and at most one sign change. That makes every
-case above well-defined and mutually exclusive, and lets one bisection
-over ranks decide between them.
+A least-squares trendline offers an approximate route for profiles that
+are nearly linear; an applicability gate decides when to trust it. The
+fit is computed from exact integer sums, and its estimate is the floor of
+the exact crossing with y = x.
 """
-
 from __future__ import annotations
 
 import math
@@ -144,29 +131,23 @@ def _is_collinear(sorted_desc: Sequence[int]) -> bool:
 
 
 def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, GeometricTrace | None]:
-    """h-index from the geometric case split, with the trace of the case.
+    """h-index from one bisection, with the trace of the geometric case split.
 
-    The gap g(rank) = citations[rank] - rank falls strictly, so the ranks
-    with g >= 0 are exactly 1..k, and one bisection finds k. Each case
-    builds its trace and reads h by its own rule:
+    g(rank) = citations[rank] - rank falls strictly, so the ranks with
+    g >= 0 are exactly 1..k, one bisection finds k, and h = k. The split
+    only labels how the polyline meets y = x:
 
-    * g(k) = 0 -> INTEGER_INTERSECTION at (k, k) ("i.a"), h = k;
-    * k = n -> ENTIRELY_ABOVE, h = n; k = 0 -> ENTIRELY_BELOW, h = 0;
-    * otherwise the polyline straddles the identity between k and k+1: an
-      exactly straight polyline crosses it at a strictly fractional point
-      -> FRACTIONAL_INTERSECTION with the interpolated crossing ("ii.a"),
-      h = the floor of that exact crossing (a float crossing can round up
-      to the next rank); a curvilinear polyline is not treated as a line,
-      so the trace reports the argmin of the vertical distances and the
-      window of them around it instead -> NO_CROSSING_MIN_DISTANCE. |g|
-      falls up to k and rises after it, so the argmin is k ("iii.c") when
-      |g(k)| <= |g(k+1)|, else k+1 ("iii.b"); a tie goes to k, the rank
-      above the identity line.
-      h = the argmin, minus one when its count lies below the identity.
+    * g(k) = 0 -> INTEGER_INTERSECTION at (k, k) ("i.a");
+    * k = n -> ENTIRELY_ABOVE; k = 0 -> ENTIRELY_BELOW;
+    * otherwise the polyline straddles y = x between k and k+1. An exactly
+      straight polyline -> FRACTIONAL_INTERSECTION with the exact crossing
+      ("ii.a"); a curvilinear one -> NO_CROSSING_MIN_DISTANCE with the
+      argmin of |g| and the window of gaps around it. |g| falls up to k
+      and rises after it, so the argmin is k ("iii.c") when
+      |g(k)| <= |g(k+1)|, else k+1 ("iii.b"); a tie goes to k.
 
-    An empty profile yields h = 0 with no trace. Agrees with the
-    definition oracle on every input (the test suite enforces this across
-    the board).
+    The tests check that each label's rule, applied as the paper states
+    it, gives k. An empty profile yields h = 0 with no trace.
     """
     if profile.n == 0:
         return HIndexResult(0, Method.GEOMETRIC), None
@@ -175,26 +156,24 @@ def geometric_h_index(profile: CitationProfile) -> tuple[HIndexResult, Geometric
     k = bisect_right(range(n), 0, key=lambda i: i + 1 - sd[i])
 
     if k and sd[k - 1] == k:
-        h, trace = k, GeometricTrace(GeometricCase.INTEGER_INTERSECTION, "i.a", crossing=Fraction(k))
+        trace = GeometricTrace(GeometricCase.INTEGER_INTERSECTION, "i.a", crossing=Fraction(k))
     elif k == n:
-        h, trace = n, GeometricTrace(GeometricCase.ENTIRELY_ABOVE, "n/a")
+        trace = GeometricTrace(GeometricCase.ENTIRELY_ABOVE, "n/a")
     elif k == 0:
-        h, trace = 0, GeometricTrace(GeometricCase.ENTIRELY_BELOW, "n/a")
+        trace = GeometricTrace(GeometricCase.ENTIRELY_BELOW, "n/a")
     elif _is_collinear(sd):
         rise = 1 - (sd[k] - sd[k - 1])  # >= 2: the step is <= -1 on a straddling segment
         crossing = k + Fraction(sd[k - 1] - k, rise)  # strictly inside (k, k+1)
-        h = math.floor(crossing)
         trace = GeometricTrace(GeometricCase.FRACTIONAL_INTERSECTION, "ii.a", crossing=crossing)
     else:
         if sd[k - 1] - k <= k + 1 - sd[k]:
             argmin, label = k, "iii.c"
         else:
             argmin, label = k + 1, "iii.b"
-        h = argmin - 1 if sd[argmin - 1] < argmin else argmin
         lo, hi = max(1, argmin - WINDOW_RADIUS), min(n, argmin + WINDOW_RADIUS)
         trace = GeometricTrace(GeometricCase.NO_CROSSING_MIN_DISTANCE, label, argmin_index=argmin,
                                first_rank=lo, distances=tuple(_gaps(sd[lo - 1 : hi], lo)))
-    return HIndexResult(h, Method.GEOMETRIC), trace
+    return HIndexResult(k, Method.GEOMETRIC), trace
 
 
 def classify_profile(profile: CitationProfile) -> GeometricTrace:

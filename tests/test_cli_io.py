@@ -392,6 +392,11 @@ def test_cli_long_cells_give_short_error_lines(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {lineno}: ") and len(err.encode()) < 200, err[:300]
     assert err == "error: line 2: not an integer citation count: 'aaaaaaaaaaaaaaaaaaaa'... (1000000 characters)\n"
+    # a cell of 40 characters is quoted whole, one of 41 is cut at 20
+    for cell, quoted in (("x" * 40, repr("x" * 40)), ("x" * 41, repr("x" * 20) + "... (41 characters)")):
+        path.write_text(f"3\n{cell}\n")
+        assert cli_io.main(["compute", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line 2: not an integer citation count: {quoted}\n"
 
 
 def test_parse_csv_fast_path_edges():

@@ -212,11 +212,16 @@ def test_large_counts_are_handled():
 
 
 def test_seeded_sweep_methods_agree():
-    # denser pseudo-random coverage than hypothesis defaults
-    for _, p in random_profiles(seed=1729, count=2000):
-        ho = h_index_oracle(p).h
-        assert h_index_sort_scan(p).h == ho
-        assert h_index_counting(p).h == ho
+    # denser pseudo-random coverage than hypothesis defaults: counts up to
+    # 1e6 (h = n in almost every profile), then counts near n (h < n in most)
+    wide = (p for _, p in random_profiles(seed=1729, count=2000))
+    near_n = map(normalize_profile, _mixed_profiles(seed=1729, count=2000))
+    for stream in (wide, near_n):
+        for p in stream:
+            ho = h_index_oracle(p).h
+            assert h_index_sort_scan(p).h == ho
+            assert h_index_counting(p).h == ho
+            assert geometric_h_index(p)[0].h == ho
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_geometric_floors_the_exact_crossing():
         result, trace = geometric_h_index(p)
         assert trace.case is GeometricCase.FRACTIONAL_INTERSECTION
         assert 1 + (top - 1) / top == 2.0 and trace.crossing < 2
-        assert result.h == 1 == h_index_oracle(p).h
+        assert _postulate_h(trace, p.sorted_desc) == result.h == 1 == h_index_oracle(p).h
 
 
 def test_geometric_empty_profile_has_no_trace():
@@ -355,6 +355,17 @@ def test_gate_passing_does_not_certify_the_estimate():
     assert h_index_oracle(p).h == 3
 
 
+def test_gate_passing_estimate_misses_by_more_as_n_grows():
+    # c_i = (n - i) + i (n - i) // 2n bows gently above a straight line:
+    # the gate passes, yet the estimate misses h by 21 at n = 1,000
+    n = 1000
+    p = profile([(n - i) + i * (n - i) // (2 * n) for i in range(n)])
+    estimate, fit = estimate_h_via_trendline(p)
+    assert trendline_applicable(p, fit)
+    assert fit.r_squared == pytest.approx(0.984, abs=1e-3)
+    assert (estimate, h_index_oracle(p).h) == (541, 562)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**4), min_size=2, max_size=100))
 def test_estimate_always_within_bounds(values):
     p = normalize_profile(values)
@@ -408,9 +419,23 @@ def _reference_fit(sd):
     return float(slope), float(intercept), r_squared, estimate, crossing
 
 
+def _postulate_h(trace, sd):
+    """h by the rule the paper states for the trace's label."""
+    if trace.postulate == "i.a":
+        return trace.crossing  # the touch coordinate
+    if trace.postulate == "ii.a":
+        return math.floor(trace.crossing)
+    if trace.postulate in ("iii.b", "iii.c"):
+        argmin = trace.argmin_index
+        return argmin - 1 if sd[argmin - 1] < argmin else argmin
+    return {GeometricCase.ENTIRELY_ABOVE: len(sd), GeometricCase.ENTIRELY_BELOW: 0}[trace.case]
+
+
 def _check_against_references(values):
     p = normalize_profile(values)
-    trace = geometric_h_index(p)[1]
+    result, trace = geometric_h_index(p)
+    # the paper's rules, applied to the trace, give the bisection's k: the true h
+    assert _postulate_h(trace, p.sorted_desc) == result.h == h_index_oracle(p).h
     case, postulate, crossing, table, argmin = _reference_trace(p.sorted_desc)
     window = lo = None
     if table is not None:

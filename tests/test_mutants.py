@@ -28,6 +28,7 @@ CLI_IO = "tests/test_cli_io.py::"
 # (module, snippet, replacement, tests that must fail)
 CORE_REAL_SIZE = CORE + "test_counting_and_sort_scan_blocks_at_the_real_size"
 PIPELINES = CLI_IO + "test_every_bench_pipeline_returns_the_oracle_h"
+SMALL_PROFILES = GEOMETRY + "test_every_small_profile[n7-max9]"
 MUTANTS = [
     # counting and sort-scan read the counts in blocks
     ("core", "enumerate(reversed(block), n - hi)", "enumerate(reversed(block), n - hi + 1)",
@@ -50,6 +51,30 @@ MUTANTS = [
      [GEOMETRY + "test_gate_blocks_at_the_real_size"]),
     ("geometry", "(lo + len(block) + 1) * s", "(lo + len(block)) * s",
      [GEOMETRY + "test_fit_and_gate_match_references_at_the_real_block_size", GEOMETRY + "test_fit_frozen_a1_line"]),
+    # the bisection and the trace of the case split; h is k, so the first
+    # three change only the trace
+    ("geometry", "if sd[k - 1] - k <= k + 1 - sd[k]:", "if sd[k - 1] - k < k + 1 - sd[k]:",
+     [GEOMETRY + "test_min_distance_tie_goes_to_the_rank_above", SMALL_PROFILES]),
+    ("geometry", "rise = 1 - (sd[k] - sd[k - 1])", "rise = 2 - (sd[k] - sd[k - 1])",
+     [GEOMETRY + "test_classify_fractional_intersection", SMALL_PROFILES]),
+    ("geometry", "pairwise(sorted_desc))", "pairwise(sorted_desc[:3]))",
+     [GEOMETRY + "test_classify_curvilinear_profiles_report_distances", SMALL_PROFILES]),
+    ("geometry", "key=lambda i: i + 1 - sd[i]", "key=lambda i: i - sd[i]",
+     [GEOMETRY + "test_classify_entirely_above_and_below", GEOMETRY + "test_geometric_floors_the_exact_crossing",
+      SMALL_PROFILES]),
+    ("geometry", "WINDOW_RADIUS = 5", "WINDOW_RADIUS = 6",
+     [CLI_IO + "test_distance_window_matches_the_full_table"]),
+    # input validation and the text report's exact floor
+    ("parse", 're.compile(r"-?[0-9]+")', 're.compile(r"[0-9]+")',
+     [CLI_IO + "test_parse_csv_negative_count"]),
+    ("parse", "len(cell) <= 40", "len(cell) < 40",
+     [CLI_IO + "test_cli_long_cells_give_short_error_lines"]),
+    ("core", "sorted_desc[0] <= MAX_CITATION", "sorted_desc[0] < MAX_CITATION",
+     [CORE + "test_normalize_rejects_counts_above_the_maximum_with_position",
+      CLI_IO + "test_cli_geometric_agrees_at_the_count_maximum"]),
+    ("cli_io", "math.floor(x * 10**6)", "round(x * 10**6)",
+     [CLI_IO + "test_text_report_intersection_is_the_exact_floor",
+      CLI_IO + "test_text_report_trendline_intersection_is_the_exact_floor"]),
 ]
 
 # Every test the table names passes on the copy with no change made.
